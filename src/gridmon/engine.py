@@ -12,7 +12,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .topology import WIRELESS_ROLES, DeployedNode, Role, Topology
+from .topology import WIRELESS_ROLES, Role, Topology
 
 
 class EngineError(ValueError):
@@ -39,18 +39,6 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def run_until(self, t_end: float) -> int:
-        """Fire events with fire_at <= t_end; returns the count processed."""
-        count = 0
-        while self._heap and self._heap[0][0] <= t_end:
-            fire_at, _, fn, args = heapq.heappop(self._heap)
-            self.now = fire_at
-            fn(*args)
-            count += 1
-        self.now = max(self.now, t_end)
-        self.processed += count
-        return count
 
     def run_all(self) -> int:
         """Drain the queue completely."""
@@ -109,10 +97,10 @@ class SimNode:
     region: int | None = None
     consumed_j: float = 0.0
     _last_refresh: float = 0.0
+    wireless: bool = field(init=False)
 
-    @property
-    def wireless(self) -> bool:
-        return self.role in WIRELESS_ROLES
+    def __post_init__(self) -> None:
+        self.wireless = self.role in WIRELESS_ROLES
 
     def refresh(self, now: float) -> None:
         """Apply lazy recharge up to ``now``; a drained harvester can revive."""
@@ -127,32 +115,20 @@ class SimNode:
         self.refresh(now)
         return self.battery_j > 0.0
 
+    def spend(self, cost_j: float, now: float) -> bool:
+        """Debit ``cost_j`` of radio energy at ``now``.
 
-def consume_energy(node: SimNode, model: EnergyModel, bits: int, distance_m: float, now: float) -> float:
-    """Spend radio energy on a node; the battery floors at zero.
-
-    Returns the battery level after the spend.  Zero bits cost nothing.
-    The caller decides whether the action succeeded (it needs the level
-    before the spend to cover the cost).
-    """
-    if not node.wireless and not math.isinf(node.battery_j):
-        raise EngineError(f"node {node.id} ({node.role.value}) has no radio")
-    node.refresh(now)
-    cost = model.tx_cost_j(bits, distance_m)
-    spent = min(cost, node.battery_j)
-    node.battery_j -= spent
-    node.consumed_j += spent
-    return node.battery_j
-
-
-def recharge(node: SimNode, dt: float) -> float:
-    """Apply dt seconds of harvesting; only rechargeable nodes accept this."""
-    if not node.rechargeable:
-        raise EngineError(f"node {node.id} ({node.role.value}) is not rechargeable")
-    if dt < 0:
-        raise EngineError("recharge interval must be non-negative")
-    node.battery_j = min(node.capacity_j, node.battery_j + node.recharge_w * dt)
-    return node.battery_j
+        A drained node, or one that cannot cover the cost, spends what it
+        has left and fails; mains-powered nodes never run out.
+        """
+        self.refresh(now)
+        if self.battery_j <= 0.0 or self.battery_j < cost_j:
+            self.consumed_j += self.battery_j
+            self.battery_j = 0.0
+            return False
+        self.battery_j -= cost_j
+        self.consumed_j += cost_j
+        return True
 
 
 def build_sim_nodes(

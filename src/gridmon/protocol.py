@@ -173,9 +173,7 @@ class TrustLedger:
 
     def trust_value(self, node_id: int) -> float:
         sent, delivered = self.counts(node_id)
-        if sent == 0:
-            return 100.0
-        return 100.0 * delivered / sent
+        return trust_value(delivered, sent) if sent else 100.0
 
 
 def trust_value(messages_delivered: int, messages_sent: int) -> float:

@@ -276,15 +276,9 @@ class Simulation:
         nxt = self.nodes[path[idx + 1]]
         bits = pkt.size_bits()
         dist_m = distance(sender.position, nxt.position) * 1000.0
-        cost = self.energy.tx_cost_j(bits, dist_m)
-        sender.refresh(self.queue.now)
-        if sender.battery_j < cost:
-            sender.consumed_j += sender.battery_j
-            sender.battery_j = 0.0
+        if not sender.spend(self.energy.tx_cost_j(bits, dist_m), self.queue.now):
             self._drop(pkt, sender.id, nxt.id, "dead_battery")
             return
-        sender.battery_j -= cost
-        sender.consumed_j += cost
         self._trace("send", pkt, sender.id, nxt.id)
         # Trust counts monitoring traffic only; reroute requests are control
         # plane and earn no credit either way.
@@ -298,17 +292,9 @@ class Simulation:
         node = self.nodes[path[idx]]
         prev = path[idx - 1]
         now = self.queue.now
-        if not node.alive(now):
+        if not node.spend(self.energy.rx_cost_j(pkt.size_bits()), now):
             self._drop(pkt, prev, node.id, "dead_battery")
             return
-        rx = self.energy.rx_cost_j(pkt.size_bits())
-        if node.battery_j < rx:
-            node.consumed_j += node.battery_j
-            node.battery_j = 0.0
-            self._drop(pkt, prev, node.id, "dead_battery")
-            return
-        node.battery_j -= rx
-        node.consumed_j += rx
         self._trace("recv", pkt, prev, node.id)
 
         if idx == len(path) - 1:
@@ -454,68 +440,53 @@ class Simulation:
             self._reading_seq, kind, bus, substation, self.queue.now, self.rng_traffic.random()
         )
 
+    def _sense(self, kind: PacketKind, route: tuple[int, ...], bus: int, substation: int) -> None:
+        """A reading leaves its sensor over the substation's wired links."""
+        reading = self._new_reading(kind, bus, substation)
+        self.ledger.generated(reading)
+        pkt = Packet(reading.id, route[0], route[-1], kind, self.queue.now)
+        self._wired_send(pkt, route, 0, self.cfg.intra_substation_latency_s)
+
     def _mu_fire(self, sensor_id: int, bus: int, substation: int) -> None:
         now = self.queue.now
         if self.nodes[sensor_id].alive(now):
-            reading = self._new_reading(PacketKind.SCADA, bus, substation)
-            self.ledger.generated(reading)
-            rtu = self.rtu_of_substation[substation]
-            pkt = Packet(reading.id, sensor_id, rtu, PacketKind.SCADA, now)
-            self._trace("send", pkt, sensor_id, rtu)
-            self.queue.schedule(
-                now + self.cfg.intra_substation_latency_s, self._rtu_recv, pkt, reading
-            )
+            route = (sensor_id, self.rtu_of_substation[substation],
+                     self.topo.gateway_of_substation[substation])
+            self._sense(PacketKind.SCADA, route, bus, substation)
         nxt = now + self.rng_traffic.expovariate(1.0 / self.cfg.scada_interval_s)
         if nxt < self._traffic_end:
             self.queue.schedule(nxt, self._mu_fire, sensor_id, bus, substation)
 
-    def _rtu_recv(self, pkt: Packet, reading: SensorReading) -> None:
-        rtu = pkt.dst
-        gw = self.topo.gateway_of_substation[reading.substation]
-        self._trace("recv", pkt, pkt.src, rtu)
-        fwd = Packet(reading.id, rtu, gw, PacketKind.SCADA, self.queue.now)
-        self._trace("send", fwd, rtu, gw)
-        self.queue.schedule(
-            self.queue.now + self.cfg.intra_substation_latency_s, self._gw_recv_reading, fwd, reading
-        )
-
     def _pmu_fire(self, sensor_id: int, bus: int, substation: int) -> None:
         now = self.queue.now
         if self.nodes[sensor_id].alive(now):
-            reading = self._new_reading(PacketKind.PMU, bus, substation)
-            self.ledger.generated(reading)
-            gw = self.topo.gateway_of_substation[substation]
-            pkt = Packet(reading.id, sensor_id, gw, PacketKind.PMU, now)
-            self._trace("send", pkt, sensor_id, gw)
-            self.queue.schedule(
-                now + self.cfg.intra_substation_latency_s, self._gw_recv_reading, pkt, reading
-            )
+            route = (sensor_id, self.topo.gateway_of_substation[substation])
+            self._sense(PacketKind.PMU, route, bus, substation)
         nxt = now + 1.0 / self.cfg.pmu_rate_hz
         if nxt < self._traffic_end:
             self.queue.schedule(nxt, self._pmu_fire, sensor_id, bus, substation)
 
-    def _gw_recv_reading(self, pkt: Packet, reading: SensorReading) -> None:
-        self._trace("recv", pkt, pkt.src, pkt.dst)
-        self._dispatch(pkt.dst, reading)
+    # ----- wired walk, aggregation and the optical plane -----
 
-    # ----- aggregation and the optical plane -----
-
-    def _wired_send(self, pkt: Packet, route: tuple[int, ...], idx: int, on_node=None) -> None:
+    def _wired_send(self, pkt: Packet, route: tuple[int, ...], idx: int, latency_s: float) -> None:
         self._trace("send", pkt, route[idx], route[idx + 1])
         self.queue.schedule(
-            self.queue.now + self.cfg.wired_latency_s, self._wired_arrive, pkt, route, idx + 1, on_node
+            self.queue.now + latency_s, self._wired_arrive, pkt, route, idx + 1, latency_s
         )
 
-    def _wired_arrive(self, pkt: Packet, route: tuple[int, ...], idx: int, on_node) -> None:
+    def _wired_arrive(self, pkt: Packet, route: tuple[int, ...], idx: int, latency_s: float) -> None:
         node_id = route[idx]
+        kind = pkt.kind
         self._trace("recv", pkt, route[idx - 1], node_id)
-        if on_node is not None:
-            on_node(node_id)
-        if idx == len(route) - 1:
-            if pkt.kind is PacketKind.AGGREGATE:
-                self._server_receive(node_id, pkt)
-            return
-        self._wired_send(pkt, route, idx, on_node)
+        if kind is PacketKind.KEYDIST:
+            self._store_key(node_id)
+        if idx < len(route) - 1:
+            self._wired_send(pkt, route, idx, latency_s)
+        elif kind is PacketKind.AGGREGATE:
+            self._server_receive(node_id, pkt)
+        elif kind is not PacketKind.KEYDIST:
+            # A sensor packet's seq is its reading id.
+            self._dispatch(node_id, self.ledger.entries[pkt.seq].reading)
 
     def _ring_route(self, ring: list[int], from_id: int, to_id: int) -> list[int]:
         i, j = ring.index(from_id), ring.index(to_id)
@@ -554,7 +525,7 @@ class Simulation:
                 reading_ids=ids,
             )
             route = tuple(self._ring_route(ring, sink_id, cc_gw)) + (server,)
-            self._wired_send(pkt, route, 0)
+            self._wired_send(pkt, route, 0, self.cfg.wired_latency_s)
 
     def _server_receive(self, server_id: int, pkt: Packet) -> None:
         backup = server_id == self.topo.cc_servers[1]
@@ -571,23 +542,21 @@ class Simulation:
         the backup server, all over wired links."""
         main_gw, backup_gw = self.topo.cc_gateways
         main_srv, backup_srv = self.topo.cc_servers
-
-        def store_pub(node_id: int) -> None:
-            if node_id in self.sink_cc_pub:
-                self.sink_cc_pub[node_id] = self.cc_keypair.public
-
+        latency = self.cfg.wired_latency_s
         for ring in (self.topo.rs_ring, self.topo.pdc_ring):
             pkt = Packet(self._next_seq(main_srv), main_srv, ring[-1],
                          PacketKind.KEYDIST, 0.0)
-            route = (main_srv, *ring)
-            self._wired_send(pkt, route, 0, on_node=store_pub)
-
-        def store_priv(node_id: int) -> None:
-            if node_id == backup_srv:
-                self.backup_private = self.cc_keypair.private
-
+            self._wired_send(pkt, (main_srv, *ring), 0, latency)
         pkt = Packet(self._next_seq(main_srv), main_srv, backup_srv, PacketKind.KEYDIST, 0.0)
-        self._wired_send(pkt, (main_srv, main_gw, backup_gw, backup_srv), 0, on_node=store_priv)
+        self._wired_send(pkt, (main_srv, main_gw, backup_gw, backup_srv), 0, latency)
+
+    def _store_key(self, node_id: int) -> None:
+        """Key distribution reached ``node_id``: sinks keep the CC public
+        key, the backup server the private key."""
+        if node_id in self.sink_cc_pub:
+            self.sink_cc_pub[node_id] = self.cc_keypair.public
+        elif node_id == self.topo.cc_servers[1]:
+            self.backup_private = self.cc_keypair.private
 
     def _bootstrap_trust(self) -> None:
         """Probe every candidate with test packets; delivery feeds the trust

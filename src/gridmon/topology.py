@@ -90,7 +90,6 @@ class Topology:
     nodes: list[DeployedNode]
     rs_ring: list[int]   # node ids: [main cc gateway, sinks..., backup cc gateway]
     pdc_ring: list[int]
-    nodes_by_id: dict[int, DeployedNode] = field(default_factory=dict)
     gateway_of_substation: dict[int, int] = field(default_factory=dict)
     rs_of_region: dict[int, int] = field(default_factory=dict)
     pdc_of_region: dict[int, int] = field(default_factory=dict)
@@ -99,7 +98,6 @@ class Topology:
     cc_servers: tuple[int, int] = (0, 0)
 
     def index(self) -> None:
-        self.nodes_by_id = {n.id: n for n in self.nodes}
         for n in self.nodes:
             if n.role is Role.GATEWAY:
                 self.gateway_of_substation[n.substation] = n.id

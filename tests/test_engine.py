@@ -16,8 +16,6 @@ from gridmon.engine import (
     RadioModel,
     Role,
     SimNode,
-    consume_energy,
-    recharge,
 )
 
 
@@ -79,19 +77,6 @@ def test_queue_events_may_schedule_more_events():
     assert q.processed == 5
 
 
-def test_run_until_boundary_is_inclusive():
-    q = EventQueue()
-    fired = []
-    q.schedule(1.0, fired.append, 1)
-    q.schedule(2.0, fired.append, 2)
-    q.schedule(2.0 + 1e-9, fired.append, 3)
-    assert q.run_until(2.0) == 2
-    assert fired == [1, 2]
-    assert q.now == 2.0  # clock advances even past the last event fired
-    assert q.run_until(10.0) == 1
-    assert q.now == 10.0
-
-
 @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=30))
 def test_queue_never_runs_time_backwards(times):
     q = EventQueue()
@@ -115,40 +100,44 @@ def test_radio_transmit_cost_classic_constants():
     assert amp_only(200.0) == pytest.approx(4 * amp_only(100.0))
 
 
-def test_consume_energy_spends_and_floors_at_zero():
+def test_spend_shortfall_drains_to_zero():
     node = relay(1, battery=1e-3)
-    model = EnergyModel()
-    left = consume_energy(node, model, 1000, 100.0, now=0.0)
-    assert left == 0.0  # cost 1.05e-3 exceeds the 1e-3 battery
-    assert node.consumed_j == pytest.approx(1e-3)
+    assert not node.spend(EnergyModel().tx_cost_j(1000, 100.0), now=0.0)  # 1.05e-3 > 1e-3
+    assert node.battery_j == 0.0
+    assert node.consumed_j == 1e-3  # the remainder is booked as consumed
     assert not node.alive(0.0)
 
 
-def test_consume_energy_exact_bookkeeping():
+def test_spend_exact_bookkeeping():
     node = relay(1, battery=1.0)
     model = EnergyModel()
-    consume_energy(node, model, 1000, 100.0, now=0.0)
-    consume_energy(node, model, 2000, 50.0, now=0.0)
+    assert node.spend(model.tx_cost_j(1000, 100.0), now=0.0)
+    assert node.spend(model.tx_cost_j(2000, 50.0), now=0.0)
     expected = 1.05e-3 + (50e-9 * 2000 + 100e-12 * 2000 * 2500)
     assert node.consumed_j == pytest.approx(expected)
     assert node.battery_j == pytest.approx(1.0 - expected)
 
 
-def test_consume_energy_rejects_radio_less_nodes():
-    wired = SimNode(id=9, role=Role.RS, position=(0, 0), battery_j=5.0)
-    with pytest.raises(EngineError):
-        consume_energy(wired, EnergyModel(), 100, 10.0, now=0.0)
-    mains = SimNode(id=10, role=Role.GATEWAY, position=(0, 0))  # infinite supply
-    assert math.isinf(consume_energy(mains, EnergyModel(), 100, 10.0, now=0.0))
+def test_spend_on_mains_stays_infinite_but_books_the_cost():
+    mains = SimNode(id=10, role=Role.GATEWAY, position=(0, 0))
+    assert mains.spend(2.5, now=0.0)
+    assert math.isinf(mains.battery_j)
+    assert mains.consumed_j == 2.5
 
 
-def test_recharge_caps_at_capacity_and_validates():
-    node = harvester(1, battery=0.9, cap=1.0, watts=0.5)
-    assert recharge(node, 1.0) == 1.0
-    with pytest.raises(EngineError):
-        recharge(node, -0.1)
-    with pytest.raises(EngineError):
-        recharge(relay(2), 1.0)
+def test_spend_fails_on_a_drained_node_even_at_zero_cost():
+    node = relay(1, battery=0.0)
+    assert not node.spend(0.0, now=0.0)
+    assert node.battery_j == 0.0
+    assert node.consumed_j == 0.0
+
+
+def test_spend_after_lazy_refresh_revives_a_harvester():
+    node = harvester(1, battery=0.0, cap=1.0, watts=0.1)
+    assert not node.spend(0.05, now=0.0)
+    assert node.spend(0.05, now=1.0)  # 0.1 J harvested in the meantime
+    assert node.battery_j == pytest.approx(0.05)
+    assert node.consumed_j == pytest.approx(0.05)
 
 
 def test_lazy_refresh_revives_a_drained_harvester():
