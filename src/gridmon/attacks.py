@@ -33,15 +33,6 @@ class AttackConfig:
     tamper_count: int = 0       # relays turned tamperer, drawn at random
     activation_time: float = 0.0
 
-    def is_null(self) -> bool:
-        return (
-            not self.blackhole_nodes
-            and not self.grayhole
-            and not self.tamper_nodes
-            and self.compromised_count == 0
-            and self.tamper_count == 0
-        )
-
 
 @dataclass
 class AttackPlan:

@@ -44,7 +44,6 @@ class Packet:
     src: int
     dst: int
     kind: PacketKind
-    sent_at: float
     ciphertext: bytes | None = None
     tag: bytes | None = None
     path: tuple[int, ...] = ()
@@ -217,7 +216,6 @@ class RoutingTable:
 
     head: int | None = None
     scada_path: tuple[int, ...] = ()
-    pmu_first: int | None = None
     pmu_path: tuple[int, ...] = ()
     excluded_scada: set[int] = field(default_factory=set)
     excluded_pmu: set[int] = field(default_factory=set)

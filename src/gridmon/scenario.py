@@ -40,8 +40,6 @@ class ScenarioConfig:
     ehrn_recharge_w: float = 5.0
     # [crypto]
     curve: str = "secp256k1"
-    curve_params: tuple[int, ...] = ()  # explicit (p, a, b, gx, gy, n) override
-    group_key_hex: str = ""             # derived from the seed when empty
     # [protocol]
     k_test: int = 20
     aggregation_window_s: float = 1.0
@@ -49,8 +47,6 @@ class ScenarioConfig:
     scada_interval_s: float = 2.0
     setup_s: float = 1.0
     settle_s: float = 2.0
-    max_retransmits: int = 5
-    retransmit_on_reroute: bool = True
     intra_substation_latency_s: float = 0.002
     wired_latency_s: float = 0.001
     # [attack]
@@ -67,9 +63,6 @@ class ScenarioConfig:
         return EnergyModel(self.e_elec_j_per_bit, self.e_amp_j_per_bit_m2)
 
     def curve_obj(self) -> CurveParams:
-        if self.curve_params:
-            p, a, b, gx, gy, n = self.curve_params
-            return CurveParams("custom", p, a, b, gx, gy, n)
         if self.curve not in CURVES:
             raise ScenarioError(f"unknown curve {self.curve!r}; known: {sorted(CURVES)}")
         return CURVES[self.curve]
@@ -91,14 +84,12 @@ class ScenarioConfig:
             raise ScenarioError("[protocol] k_test must be at least 1")
         if self.aggregation_window_s <= 0 or self.pmu_rate_hz <= 0 or self.scada_interval_s <= 0:
             raise ScenarioError("[protocol] rates and windows must be positive")
-        if self.setup_s <= 0 or self.settle_s < 0 or self.max_retransmits < 0:
+        if self.setup_s <= 0 or self.settle_s < 0:
             raise ScenarioError("[protocol] timing parameters out of range")
         if self.intra_substation_latency_s < 0 or self.wired_latency_s < 0:
             raise ScenarioError("[protocol] latencies must be non-negative")
         if self.duration_s <= 0:
             raise ScenarioError(f"[run] duration_s must be positive, got {self.duration_s}")
-        if self.curve_params and len(self.curve_params) != 6:
-            raise ScenarioError("[crypto] explicit curve needs p, a, b, gx, gy, n")
         if self.attack.activation_time < 0:
             raise ScenarioError("[attack] activation_time must be non-negative")
         self.curve_obj()
@@ -113,11 +104,10 @@ _SECTION_KEYS = {
         "e_elec_j_per_bit", "e_amp_j_per_bit_m2",
         "relay_battery_j", "ehrn_capacity_j", "ehrn_recharge_w",
     },
-    "crypto": {"curve", "p", "a", "b", "gx", "gy", "n", "group_key_hex"},
+    "crypto": {"curve"},
     "protocol": {
         "k_test", "aggregation_window_s", "pmu_rate_hz", "scada_interval_s",
-        "setup_s", "settle_s", "max_retransmits", "retransmit_on_reroute",
-        "intra_substation_latency_s", "wired_latency_s",
+        "setup_s", "settle_s", "intra_substation_latency_s", "wired_latency_s",
     },
     "attack": {
         "compromised_count", "tamper_count", "blackhole_nodes",
@@ -136,13 +126,6 @@ def _convert(key: str, raw: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError:
         raise ScenarioError(f"bad value {raw!r} for {key}") from None
@@ -196,23 +179,6 @@ def load_scenario(path: str) -> ScenarioConfig:
                 raise ScenarioError(f"{path}: unknown key {key!r} in [{section}]")
         if section == "attack":
             values["attack"] = _parse_attack(parser[section])
-            continue
-        if section == "crypto":
-            sec = parser[section]
-            if any(k in sec for k in ("p", "a", "b", "gx", "gy", "n")):
-                missing = [k for k in ("p", "a", "b", "gx", "gy", "n") if k not in sec]
-                if missing:
-                    raise ScenarioError(f"{path}: [crypto] explicit curve missing {missing}")
-                try:
-                    values["curve_params"] = tuple(
-                        int(sec[k]) for k in ("p", "a", "b", "gx", "gy", "n")
-                    )
-                except ValueError:
-                    raise ScenarioError(f"{path}: [crypto] curve parameters must be decimal") from None
-            if "curve" in sec:
-                values["curve"] = sec["curve"]
-            if "group_key_hex" in sec:
-                values["group_key_hex"] = sec["group_key_hex"]
             continue
         for key in parser[section]:
             attr = "case_path" if (section, key) == ("case", "path") else key

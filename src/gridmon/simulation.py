@@ -40,6 +40,7 @@ from .topology import Role, Topology, distance
 
 _MAX_GREEDY_HOPS = 64
 _RECENT_PER_GATEWAY = 256
+_MAX_RETRANSMITS = 5
 
 
 def child_rng(seed: int, stream: str) -> random.Random:
@@ -84,10 +85,7 @@ class Simulation:
         self._recent_order: dict[int, deque] = {}
         self._cn_cache: dict[int, tuple[float, int]] = {}
 
-        if cfg.group_key_hex:
-            self.group_key = bytes.fromhex(cfg.group_key_hex)
-        else:
-            self.group_key = hashlib.sha256(f"group:{seed}".encode()).digest()[:16]
+        self.group_key = hashlib.sha256(f"group:{seed}".encode()).digest()[:16]
 
         # Attack plan over the wireless population.
         wireless_ids = [n.id for n in self.nodes.values() if n.wireless]
@@ -136,27 +134,22 @@ class Simulation:
             self._recent_order[gw] = deque()
 
     def _setup_sensors(self) -> None:
+        """Number the wired sensing plane after the deployed nodes: RTUs,
+        then measurement sensors, then phasor sensors.  These mains-powered
+        nodes only name the ends of wired hops in the trace."""
         topo = self.topo
         next_id = max(self.nodes) + 1
         self.rtu_of_substation: dict[int, int] = {}
         self.mu_sensors: list[tuple[int, int, int]] = []   # (node, bus, substation)
         self.pmu_sensors: list[tuple[int, int, int]] = []
         for sid in sorted(topo.case.substations):
-            pos = topo.case.substations[sid].position
-            self.nodes[next_id] = SimNode(next_id, Role.RTU, pos, substation=sid)
             self.rtu_of_substation[sid] = next_id
             next_id += 1
         for bus in sorted(topo.case.buses):
-            sid = topo.case.substation_of(bus)
-            pos = topo.case.substations[sid].position
-            self.nodes[next_id] = SimNode(next_id, Role.MU_SENSOR, pos, substation=sid)
-            self.mu_sensors.append((next_id, bus, sid))
+            self.mu_sensors.append((next_id, bus, topo.case.substation_of(bus)))
             next_id += 1
         for bus in sorted(topo.pmu_buses):
-            sid = topo.case.substation_of(bus)
-            pos = topo.case.substations[sid].position
-            self.nodes[next_id] = SimNode(next_id, Role.PMU_SENSOR, pos, substation=sid)
-            self.pmu_sensors.append((next_id, bus, sid))
+            self.pmu_sensors.append((next_id, bus, topo.case.substation_of(bus)))
             next_id += 1
         self.pmu_gateways = {
             self.topo.gateway_of_substation[sid] for _, _, sid in self.pmu_sensors
@@ -264,14 +257,14 @@ class Simulation:
         mid = self._greedy(gw.position, pdc, Role.EHRN, rt.excluded_pmu)
         if mid is None:
             return None
-        rt.pmu_first = mid[0] if mid else None
         rt.pmu_path = (gw_id, *mid, pdc.id)
         return rt.pmu_path
 
     # ----- wireless walk -----
 
-    def _transmit(self, pkt: Packet, path: tuple[int, ...], idx: int) -> None:
-        """Send hop idx -> idx+1, paying transmit energy at the sender."""
+    def _transmit(self, pkt: Packet, idx: int) -> None:
+        """Send hop idx -> idx+1 of ``pkt.path``, paying transmit energy at the sender."""
+        path = pkt.path
         sender = self.nodes[path[idx]]
         nxt = self.nodes[path[idx + 1]]
         bits = pkt.size_bits()
@@ -285,10 +278,11 @@ class Simulation:
         if nxt.wireless and pkt.kind is not PacketKind.REROUTE:
             self.trust.record_sent(nxt.id)
         self.queue.schedule(
-            self.queue.now + self.radio.hop_latency_s(bits), self._hop_arrive, pkt, path, idx + 1
+            self.queue.now + self.radio.hop_latency_s(bits), self._hop_arrive, pkt, idx + 1
         )
 
-    def _hop_arrive(self, pkt: Packet, path: tuple[int, ...], idx: int) -> None:
+    def _hop_arrive(self, pkt: Packet, idx: int) -> None:
+        path = pkt.path
         node = self.nodes[path[idx]]
         prev = path[idx - 1]
         now = self.queue.now
@@ -314,7 +308,7 @@ class Simulation:
                 return
         elif behavior == "tamper" and pkt.ciphertext:
             pkt.ciphertext = tamper_bytes(pkt.ciphertext, self.rng_attack)
-        self._transmit(pkt, path, idx)
+        self._transmit(pkt, idx)
 
     def _credit_path(self, pkt: Packet) -> None:
         for nid in pkt.path:
@@ -361,12 +355,11 @@ class Simulation:
             src=sink.id,
             dst=pkt.src,
             kind=PacketKind.REROUTE,
-            sent_at=self.queue.now,
             path=tuple(reversed(pkt.path)),
             ref=(pkt.src, pkt.seq),
         )
         self._trace("reroute", back, sink.id, pkt.src)
-        self._transmit(back, back.path, 0)
+        self._transmit(back, 0)
 
     def _handle_reroute(self, gw_id: int, pkt: Packet) -> None:
         self.reroutes += 1
@@ -384,10 +377,8 @@ class Simulation:
         else:
             if culprit is not None:
                 rt.excluded_pmu.add(culprit)
-            rt.pmu_first = None
             rt.pmu_path = ()
-        state = self.ledger.entries[reading.id]
-        if self.cfg.retransmit_on_reroute and state.retransmits < self.cfg.max_retransmits:
+        if self.ledger.entries[reading.id].retransmits < _MAX_RETRANSMITS:
             self.ledger.resent(reading.id)
             self.retransmissions += 1
             self._dispatch(gw_id, reading)
@@ -410,8 +401,7 @@ class Simulation:
             sink = (self.topo.rs_of_region if scada else self.topo.pdc_of_region)[
                 self.nodes[gw_id].region
             ]
-            doomed = Packet(seq, gw_id, sink, reading.kind, self.queue.now,
-                            reading_ids=(reading.id,))
+            doomed = Packet(seq, gw_id, sink, reading.kind, reading_ids=(reading.id,))
             self._drop(doomed, gw_id, sink, "no_route")
             return
         ciphertext, tag = protocol.seal(
@@ -422,15 +412,14 @@ class Simulation:
             src=gw_id,
             dst=path[-1],
             kind=reading.kind,
-            sent_at=self.queue.now,
             ciphertext=ciphertext,
             tag=tag,
             path=path,
             reading_ids=(reading.id,),
         )
-        culprit = self.routing[gw_id].head if scada else self.routing[gw_id].pmu_first
-        self._remember(gw_id, seq, reading, culprit)
-        self._transmit(pkt, path, 0)
+        # The first relay or harvester past the gateway takes the blame.
+        self._remember(gw_id, seq, reading, path[1] if len(path) > 2 else None)
+        self._transmit(pkt, 0)
 
     # ----- sensing plane -----
 
@@ -444,25 +433,21 @@ class Simulation:
         """A reading leaves its sensor over the substation's wired links."""
         reading = self._new_reading(kind, bus, substation)
         self.ledger.generated(reading)
-        pkt = Packet(reading.id, route[0], route[-1], kind, self.queue.now)
+        pkt = Packet(reading.id, route[0], route[-1], kind)
         self._wired_send(pkt, route, 0, self.cfg.intra_substation_latency_s)
 
     def _mu_fire(self, sensor_id: int, bus: int, substation: int) -> None:
-        now = self.queue.now
-        if self.nodes[sensor_id].alive(now):
-            route = (sensor_id, self.rtu_of_substation[substation],
-                     self.topo.gateway_of_substation[substation])
-            self._sense(PacketKind.SCADA, route, bus, substation)
-        nxt = now + self.rng_traffic.expovariate(1.0 / self.cfg.scada_interval_s)
+        route = (sensor_id, self.rtu_of_substation[substation],
+                 self.topo.gateway_of_substation[substation])
+        self._sense(PacketKind.SCADA, route, bus, substation)
+        nxt = self.queue.now + self.rng_traffic.expovariate(1.0 / self.cfg.scada_interval_s)
         if nxt < self._traffic_end:
             self.queue.schedule(nxt, self._mu_fire, sensor_id, bus, substation)
 
     def _pmu_fire(self, sensor_id: int, bus: int, substation: int) -> None:
-        now = self.queue.now
-        if self.nodes[sensor_id].alive(now):
-            route = (sensor_id, self.topo.gateway_of_substation[substation])
-            self._sense(PacketKind.PMU, route, bus, substation)
-        nxt = now + 1.0 / self.cfg.pmu_rate_hz
+        route = (sensor_id, self.topo.gateway_of_substation[substation])
+        self._sense(PacketKind.PMU, route, bus, substation)
+        nxt = self.queue.now + 1.0 / self.cfg.pmu_rate_hz
         if nxt < self._traffic_end:
             self.queue.schedule(nxt, self._pmu_fire, sensor_id, bus, substation)
 
@@ -499,16 +484,15 @@ class Simulation:
 
     def _flush_sink(self, sink_id: int, window_start: float, window_end: float) -> None:
         buffered = self._sink_buffer[sink_id]
-        if not buffered:
-            return
+        cc_pub = self.sink_cc_pub[sink_id]
+        if not buffered or cc_pub is None:
+            return  # until the control-center key arrives, readings wait
         readings = list(buffered)
         buffered.clear()
         self._aggregate_seq += 1
         ids = tuple(r.id for r in readings)
         self.ledger.aggregated(ids, self._aggregate_seq)
         sink = self.nodes[sink_id]
-        cc_pub = self.sink_cc_pub[sink_id]
-        assert cc_pub is not None, "control-center key not distributed before first window"
         blob = protocol.build_aggregate(sink.region, window_start, window_end, readings)
         sealed = pk_encrypt(self.curve, cc_pub, blob, self.rng_crypto)
         ring = self.topo.rs_ring if sink.role is Role.RS else self.topo.pdc_ring
@@ -520,7 +504,6 @@ class Simulation:
                 src=sink_id,
                 dst=server,
                 kind=PacketKind.AGGREGATE,
-                sent_at=self.queue.now,
                 ciphertext=sealed,
                 reading_ids=ids,
             )
@@ -544,10 +527,9 @@ class Simulation:
         main_srv, backup_srv = self.topo.cc_servers
         latency = self.cfg.wired_latency_s
         for ring in (self.topo.rs_ring, self.topo.pdc_ring):
-            pkt = Packet(self._next_seq(main_srv), main_srv, ring[-1],
-                         PacketKind.KEYDIST, 0.0)
+            pkt = Packet(self._next_seq(main_srv), main_srv, ring[-1], PacketKind.KEYDIST)
             self._wired_send(pkt, (main_srv, *ring), 0, latency)
-        pkt = Packet(self._next_seq(main_srv), main_srv, backup_srv, PacketKind.KEYDIST, 0.0)
+        pkt = Packet(self._next_seq(main_srv), main_srv, backup_srv, PacketKind.KEYDIST)
         self._wired_send(pkt, (main_srv, main_gw, backup_gw, backup_srv), 0, latency)
 
     def _store_key(self, node_id: int) -> None:
@@ -593,10 +575,9 @@ class Simulation:
             src=gw_id,
             dst=sink_id,
             kind=PacketKind.TEST,
-            sent_at=self.queue.now,
             path=path,
         )
-        self._transmit(pkt, path, 0)
+        self._transmit(pkt, 0)
 
     def _initial_election(self) -> None:
         for sid in sorted(self.topo.gateway_of_substation):

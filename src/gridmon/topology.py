@@ -30,9 +30,6 @@ class Role(enum.Enum):
     PDC = "pdc"
     CC_GATEWAY = "cc_gateway"
     CC_SERVER = "cc_server"
-    MU_SENSOR = "mu_sensor"
-    PMU_SENSOR = "pmu_sensor"
-    RTU = "rtu"
 
 
 # Battery-powered wireless field nodes; everything else has mains power.
@@ -82,7 +79,6 @@ class DeployedNode:
 class Topology:
     case: PowerCase
     d_km: float
-    border: tuple[int, ...]
     main_cc: int
     backup_cc: int
     regions: list[Region]
@@ -404,7 +400,6 @@ def build_topology(
     rng: random.Random,
 ) -> Topology:
     """Assemble the full infrastructure graph for a case."""
-    border = border_substations(case)
     main_cc, backup_cc = select_control_centers(case)
     regions = partition_regions(case, d_km)
     pmu_buses = place_pmus(case)
@@ -420,7 +415,6 @@ def build_topology(
     topo = Topology(
         case=case,
         d_km=d_km,
-        border=border,
         main_cc=main_cc,
         backup_cc=backup_cc,
         regions=regions,

@@ -28,9 +28,7 @@ def resolve(config, seed="s"):
 
 
 def test_null_config_resolves_to_empty_plan():
-    cfg = AttackConfig()
-    assert cfg.is_null()
-    plan = resolve(cfg)
+    plan = resolve(AttackConfig())
     assert plan.blackholes == frozenset() and plan.tampers == frozenset()
     assert plan.grayholes == {}
     assert plan.behavior(100, now=99.0) is None

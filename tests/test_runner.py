@@ -7,10 +7,11 @@ import re
 
 import pytest
 
+from gridmon.attacks import AttackConfig
 from gridmon.cli import main
 from gridmon.metrics import read_csv
-from gridmon.runner import SWEEP_AXES, run_scenario, sweep, sweep_fieldnames
-from gridmon.scenario import ScenarioConfig, ScenarioError, load_scenario
+from gridmon.runner import SWEEP_AXES, run_scenario, run_simulation, sweep, sweep_fieldnames
+from gridmon.scenario import _SECTION_KEYS, ScenarioConfig, ScenarioError, load_scenario
 
 TRACE_LINE = re.compile(
     r"^t=\d+\.\d{6} ev=\w+ pkt=\d+ src=\d+ dst=\d+ kind=\w+$"
@@ -80,7 +81,7 @@ def test_defaults_fill_unspecified_sections(tmp_path):
     defaults = ScenarioConfig()
     assert cfg.relays == defaults.relays
     assert cfg.aggregation_window_s == defaults.aggregation_window_s
-    assert cfg.attack.is_null()
+    assert cfg.attack == AttackConfig()
 
 
 def test_grayhole_string_parses_to_pairs(tmp_path):
@@ -115,6 +116,29 @@ def test_scenario_error_cases(tmp_path):
     with pytest.raises(ScenarioError):
         load_scenario(str(bad_gray))
 
+    for n, (section, key, value) in enumerate([
+        ("crypto", "group_key_hex", "00" * 16),
+        ("crypto", "p", "17"),
+        ("protocol", "retransmit_on_reroute", "false"),
+        ("protocol", "max_retransmits", "2"),
+    ]):
+        removed = tmp_path / f"r{n}.ini"
+        removed.write_text(f"[case]\npath = x.case\n[{section}]\n{key} = {value}\n")
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario(str(removed))
+
+
+def test_every_config_field_has_exactly_one_scenario_key():
+    keys = [(section, key) for section, names in _SECTION_KEYS.items() for key in names]
+    assert len(keys) == len(set(keys))
+    plain = sorted(
+        "case_path" if (section, key) == ("case", "path") else key
+        for section, key in keys
+        if section != "attack"
+    )
+    assert plain == sorted(f.name for f in dataclasses.fields(ScenarioConfig) if f.name != "attack")
+    assert {f.name for f in dataclasses.fields(AttackConfig)} == _SECTION_KEYS["attack"]
+
 
 # ===== run/sweep drivers =====
 
@@ -145,6 +169,26 @@ def test_run_scenario_books_balance(mini_ini):
     assert resolved == record.scada_generated
     assert 0.0 <= record.delivery_ratio <= 1.0
     assert record.energy_consumed_j > 0.0
+
+
+@pytest.mark.parametrize("wired_latency_s, delivered, in_flight", [
+    (0.05, (77, 1505), 0),
+    (30.0, (0, 0), 77),
+])
+def test_sinks_hold_readings_until_the_control_center_key_arrives(
+    scenarios_dir, wired_latency_s, delivered, in_flight
+):
+    # The first windows close before key distribution reaches the sinks; they
+    # must keep their readings for a later window, not crash.  With a 30 s ring
+    # the key never arrives within the run and the readings stay in flight.
+    cfg = dataclasses.replace(
+        load_scenario(str(scenarios_dir / "ieee14.ini")),
+        setup_s=0.01, aggregation_window_s=0.01, wired_latency_s=wired_latency_s,
+    )
+    record = run_simulation(cfg).metrics
+    assert (record.scada_generated, record.pmu_generated) == (77, 1505)
+    assert (record.scada_delivered, record.pmu_delivered) == delivered
+    assert record.scada_in_flight == in_flight
 
 
 def test_sweep_emits_per_seed_rows_and_mean_rows(mini_ini):
