@@ -10,10 +10,14 @@ A hybrid construction (ephemeral ECDH + RC5-CTR + HMAC) seals aggregate
 payloads for the control-center public key.
 
 Points are affine ``(x, y)`` tuples; ``None`` is the point at infinity.
+The API stays affine, but ``scalar_mult`` works in Jacobian coordinates
+inside, with one inversion per multiplication, and multiplies the base
+point ``G`` from a fixed-base window table built once per curve.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 import random
@@ -95,18 +99,102 @@ def point_add(curve: CurveParams, p1, p2):
     return (x3, y3)
 
 
+# Jacobian (X, Y, Z) stands for affine (X/Z^2, Y/Z^3); None is infinity.
+# Formulas for general a: Hankerson, Menezes and Vanstone, Guide to Elliptic
+# Curve Cryptography (2004), section 3.2.
+
+
+def _jacobian_double(curve: CurveParams, pt):
+    if pt is None:
+        return None
+    x, y, z = pt
+    if y == 0:
+        return None
+    p = curve.p
+    yy = y * y % p
+    s = 4 * x * yy % p
+    m = 3 * x * x
+    if curve.a:
+        zz = z * z % p
+        m += curve.a * zz * zz
+    m %= p
+    x3 = (m * m - 2 * s) % p
+    return (x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p)
+
+
+def _jacobian_add_affine(curve: CurveParams, pt, q):
+    """Jacobian pt plus affine q (mixed coordinates)."""
+    if q is None:
+        return pt
+    if pt is None:
+        return (q[0], q[1], 1)
+    x1, y1, z1 = pt
+    p = curve.p
+    zz = z1 * z1 % p
+    h = (q[0] * zz - x1) % p
+    r = (q[1] * zz * z1 - y1) % p
+    if h == 0:
+        return _jacobian_double(curve, pt) if r == 0 else None
+    hh = h * h % p
+    hhh = h * hh % p
+    v = x1 * hh % p
+    x3 = (r * r - hhh - 2 * v) % p
+    return (x3, (r * (v - x3) - y1 * hhh) % p, z1 * h % p)
+
+
+def _to_affine(curve: CurveParams, pt):
+    if pt is None:
+        return None
+    x, y, z = pt
+    p = curve.p
+    zinv = pow(z, -1, p)
+    zz = zinv * zinv % p
+    return (x * zz % p, y * zz * zinv % p)
+
+
+_WINDOW_BITS = 4
+
+
+@functools.cache
+def _g_table(curve: CurveParams) -> tuple:
+    """Row i holds affine j * 16**i * G for j in 0..15 (row[0] is None).
+
+    One row per 4-bit window of a scalar below n, so k*G is one mixed
+    addition per nonzero window and no doubling (fixed-base windowing,
+    Hankerson, Menezes and Vanstone, section 3.3).
+    """
+    rows = []
+    base = curve.g
+    for _ in range(-(-curve.n.bit_length() // _WINDOW_BITS)):
+        row = [None]
+        for _ in range(2**_WINDOW_BITS - 1):
+            row.append(point_add(curve, row[-1], base))
+        rows.append(tuple(row))
+        base = point_add(curve, row[-1], base)
+    return tuple(rows)
+
+
 def scalar_mult(curve: CurveParams, k: int, point):
-    """Double-and-add k*P. Negative scalars are rejected."""
+    """k*P for an affine point P; negative scalars are rejected.
+
+    G is multiplied from its window table with k reduced mod n (G has order
+    n); any other point by left-to-right double-and-add.
+    """
     if k < 0:
         raise CryptoError("scalar must be non-negative")
-    result = None
-    addend = point
-    while k:
-        if k & 1:
-            result = point_add(curve, result, addend)
-        addend = point_add(curve, addend, addend)
-        k >>= 1
-    return result
+    acc = None
+    if point == curve.g:
+        k %= curve.n
+        mask = 2**_WINDOW_BITS - 1
+        for row in _g_table(curve):
+            acc = _jacobian_add_affine(curve, acc, row[k & mask])
+            k >>= _WINDOW_BITS
+    elif point is not None:
+        for bit in bin(k)[2:]:
+            acc = _jacobian_double(curve, acc)
+            if bit == "1":
+                acc = _jacobian_add_affine(curve, acc, point)
+    return _to_affine(curve, acc)
 
 
 @dataclass(frozen=True)

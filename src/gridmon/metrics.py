@@ -152,6 +152,7 @@ class MetricsRecord:
     delay_p95_s: float = 0.0
     pmu_generated: int = 0
     pmu_delivered: int = 0
+    pmu_in_flight: int = 0
     pmu_delivery_ratio: float = 0.0
     pmu_delay_mean_s: float = 0.0
     packet_drops_total: int = 0

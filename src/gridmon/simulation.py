@@ -646,6 +646,7 @@ class Simulation:
             delay_p95_s=p95(scada["delays"]),
             pmu_generated=pmu["generated"],
             pmu_delivered=pmu["delivered"],
+            pmu_in_flight=pmu["in_flight"],
             pmu_delivery_ratio=ratio(pmu["delivered"], pmu["generated"]),
             pmu_delay_mean_s=mean(pmu["delays"]),
             packet_drops_total=sum(self.packet_drops.values()),

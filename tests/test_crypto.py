@@ -6,7 +6,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridmon.crypto import (
@@ -182,8 +182,53 @@ def test_toy_scalar_multiples():
 
 
 def test_scalar_mult_rejects_negative():
-    with pytest.raises(CryptoError):
-        scalar_mult(TOY, -1, TOY.g)
+    for curve in (TOY, SECP):
+        for point in (curve.g, point_add(curve, curve.g, curve.g), None):
+            with pytest.raises(CryptoError):
+                scalar_mult(curve, -1, point)
+
+
+# ===== scalar multiplication against the affine double-and-add oracle =====
+
+
+def affine_scalar_mult(curve, k, point):
+    """Right-to-left double-and-add over point_add: one inversion per step."""
+    result = None
+    addend = point
+    while k:
+        if k & 1:
+            result = point_add(curve, result, addend)
+        addend = point_add(curve, addend, addend)
+        k >>= 1
+    return result
+
+
+def test_scalar_mult_matches_oracle_on_every_toy_point():
+    for point in [None] + toy_affine_points():
+        for k in range(3 * TOY.n + 1):
+            assert scalar_mult(TOY, k, point) == affine_scalar_mult(TOY, k, point), (k, point)
+
+
+SECP_OTHER_BASE = affine_scalar_mult(SECP, 0xC0FFEE, SECP.g)
+
+
+@pytest.mark.parametrize("base", ["G", "other"])
+@given(k=st.integers(0, 2**256 - 1))
+@example(k=0)
+@example(k=1)
+@example(k=SECP.n - 1)
+@example(k=SECP.n)
+@example(k=SECP.n + 1)
+@example(k=2**256 - 1)
+def test_scalar_mult_matches_oracle_on_secp256k1(base, k):
+    point = SECP.g if base == "G" else SECP_OTHER_BASE
+    assert scalar_mult(SECP, k, point) == affine_scalar_mult(SECP, k, point)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, SECP.n, 2**256 - 1])
+def test_scalar_mult_of_infinity_is_infinity(k):
+    assert scalar_mult(SECP, k, None) is None
+    assert scalar_mult(TOY, k, None) is None
 
 
 # ===== key agreement =====

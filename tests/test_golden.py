@@ -37,7 +37,7 @@ GOLDEN = {
             "scada_dropped_rejected": 0,
             "delivery_ratio": 0.5324675324675324,
             "delay_mean_s": 0.5768442177892821, "delay_p95_s": 0.9555163517832277,
-            "pmu_generated": 1505, "pmu_delivered": 1207,
+            "pmu_generated": 1505, "pmu_delivered": 1207, "pmu_in_flight": 0,
             "pmu_delivery_ratio": 0.8019933554817276, "pmu_delay_mean_s": 0.5216387738193976,
             "packet_drops_total": 476, "packet_drops_blackhole": 0,
             "packet_drops_grayhole": 0, "packet_drops_dead_battery": 474,
@@ -60,7 +60,7 @@ GOLDEN = {
             "scada_dropped_rejected": 0,
             "delivery_ratio": 0.9333333333333333,
             "delay_mean_s": 0.4796833618348784, "delay_p95_s": 1.0009087973877264,
-            "pmu_generated": 1505, "pmu_delivered": 1505,
+            "pmu_generated": 1505, "pmu_delivered": 1505, "pmu_in_flight": 0,
             "pmu_delivery_ratio": 1.0, "pmu_delay_mean_s": 0.5206724252491806,
             "packet_drops_total": 5, "packet_drops_blackhole": 5,
             "packet_drops_grayhole": 0, "packet_drops_dead_battery": 0,

@@ -189,6 +189,7 @@ def test_sinks_hold_readings_until_the_control_center_key_arrives(
     assert (record.scada_generated, record.pmu_generated) == (77, 1505)
     assert (record.scada_delivered, record.pmu_delivered) == delivered
     assert record.scada_in_flight == in_flight
+    assert record.pmu_in_flight == 1505 - record.pmu_delivered  # 1505 with the 30 s ring
 
 
 def test_sweep_emits_per_seed_rows_and_mean_rows(mini_ini):
