@@ -6,7 +6,7 @@ Subcommands:
   topology  build and export the communication graph for a case file
 
 Exit codes: 0 on success, 1 on configuration or input errors, 2 on usage
-errors (unknown flags, missing arguments).
+errors (unknown flags, missing arguments), 3 when a run's ledger audit fails.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 
 from .crypto import CryptoError
 from .engine import EngineError
-from .metrics import export_csv
+from .metrics import AuditError, export_csv
 from .runner import SWEEP_AXES, run_scenario, sweep, sweep_fieldnames
 from .scenario import ScenarioError, load_scenario
 from .topology import CaseError, build_topology, distance, export_topology, load_power_case
@@ -118,6 +118,9 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AuditError as exc:
+        print(f"error: audit failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -71,10 +71,13 @@ CURVES: dict[str, CurveParams] = {
 
 
 def is_on_curve(curve: CurveParams, point) -> bool:
-    """True for curve points and for the point at infinity."""
+    """True for the point at infinity and for curve points in canonical
+    form (both coordinates in [0, p))."""
     if point is None:
         return True
     x, y = point
+    if not (0 <= x < curve.p and 0 <= y < curve.p):
+        return False
     return (y * y - (x * x * x + curve.a * x + curve.b)) % curve.p == 0
 
 

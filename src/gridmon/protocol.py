@@ -48,7 +48,7 @@ class Packet:
     tag: bytes | None = None
     path: tuple[int, ...] = ()
     reading_ids: tuple[int, ...] = ()   # simulation bookkeeping, not wire data
-    ref: tuple[int, int] | None = None  # reroute: (offending src, seq)
+    ref: int | None = None              # reroute: id of the rejected reading
 
     def size_bits(self) -> int:
         size = HEADER_BYTES + len(self.ciphertext or b"") + len(self.tag or b"")

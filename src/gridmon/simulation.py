@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections import deque
 
 from . import protocol
 from .attacks import AttackPlan, apply_attack, tamper_bytes
@@ -39,7 +38,6 @@ from .scenario import ScenarioConfig
 from .topology import Role, Topology, distance
 
 _MAX_GREEDY_HOPS = 64
-_RECENT_PER_GATEWAY = 256
 _MAX_RETRANSMITS = 5
 
 
@@ -70,6 +68,8 @@ class Simulation:
             topo, cfg.relay_battery_j, cfg.ehrn_capacity_j, cfg.ehrn_recharge_w
         )
         self.index = NeighborIndex(self.nodes, self.radio)
+        # SCADA readings go to their region's RS, phasor frames to its PDC.
+        self._sinks = {PacketKind.SCADA: topo.rs_of_region, PacketKind.PMU: topo.pdc_of_region}
 
         self.trust = TrustLedger()
         self.ledger = ReadingLedger()
@@ -81,8 +81,6 @@ class Simulation:
         self._seq: dict[int, int] = {}
         self._reading_seq = 0
         self._aggregate_seq = 0
-        self._recent: dict[int, dict] = {}      # gw -> seq -> (reading, first hop)
-        self._recent_order: dict[int, deque] = {}
         self._cn_cache: dict[int, tuple[float, int]] = {}
 
         self.group_key = hashlib.sha256(f"group:{seed}".encode()).digest()[:16]
@@ -99,9 +97,9 @@ class Simulation:
         # substation, a phasor sensor at each placed bus.
         self._setup_sensors()
 
-        self._sink_buffer: dict[int, list[SensorReading]] = {}
-        for nid in list(topo.rs_of_region.values()) + list(topo.pdc_of_region.values()):
-            self._sink_buffer[nid] = []
+        self._sink_buffer: dict[int, list[SensorReading]] = {
+            nid: [] for sinks in self._sinks.values() for nid in sinks.values()
+        }
         self.sink_cc_pub: dict[int, tuple[int, int] | None] = {
             nid: None for nid in self._sink_buffer
         }
@@ -115,44 +113,38 @@ class Simulation:
         topo = self.topo
         self.cc_keypair = keypair_generate(self.curve, self.rng_crypto)
         sink_keys = {}
-        for rid in sorted(topo.rs_of_region):
-            sink_keys[topo.rs_of_region[rid]] = keypair_generate(self.curve, self.rng_crypto)
-        for rid in sorted(topo.pdc_of_region):
-            sink_keys[topo.pdc_of_region[rid]] = keypair_generate(self.curve, self.rng_crypto)
-        self.gw_rs_key: dict[int, bytes] = {}
-        self.gw_pdc_key: dict[int, bytes] = {}
+        for sinks in self._sinks.values():
+            for rid in sorted(sinks):
+                sink_keys[sinks[rid]] = keypair_generate(self.curve, self.rng_crypto)
+        # Each gateway shares one pairwise key with each of its region's sinks.
+        self.pair_key: dict[tuple[int, PacketKind], bytes] = {}
         for sid in sorted(topo.gateway_of_substation):
             gw = topo.gateway_of_substation[sid]
             gw_kp = keypair_generate(self.curve, self.rng_crypto)
-            region = topo.region_of_substation[sid]
-            rs_kp = sink_keys[topo.rs_of_region[region]]
-            pdc_kp = sink_keys[topo.pdc_of_region[region]]
-            self.gw_rs_key[gw] = ecdh_shared(self.curve, gw_kp.private, rs_kp.public)
-            self.gw_pdc_key[gw] = ecdh_shared(self.curve, gw_kp.private, pdc_kp.public)
+            for kind in self._sinks:
+                sink_public = sink_keys[self._sink(gw, kind)].public
+                self.pair_key[(gw, kind)] = ecdh_shared(self.curve, gw_kp.private, sink_public)
             self.routing[gw] = RoutingTable()
-            self._recent[gw] = {}
-            self._recent_order[gw] = deque()
 
     def _setup_sensors(self) -> None:
         """Number the wired sensing plane after the deployed nodes: RTUs,
         then measurement sensors, then phasor sensors.  These mains-powered
-        nodes only name the ends of wired hops in the trace."""
-        topo = self.topo
+        nodes only name the ends of wired hops in the trace.  A sensor is
+        (kind, wired route to its gateway, bus, substation)."""
+        case = self.topo.case
+        gateway = self.topo.gateway_of_substation
         next_id = max(self.nodes) + 1
-        self.rtu_of_substation: dict[int, int] = {}
-        self.mu_sensors: list[tuple[int, int, int]] = []   # (node, bus, substation)
-        self.pmu_sensors: list[tuple[int, int, int]] = []
-        for sid in sorted(topo.case.substations):
-            self.rtu_of_substation[sid] = next_id
-            next_id += 1
-        for bus in sorted(topo.case.buses):
-            self.mu_sensors.append((next_id, bus, topo.case.substation_of(bus)))
-            next_id += 1
-        for bus in sorted(topo.pmu_buses):
-            self.pmu_sensors.append((next_id, bus, topo.case.substation_of(bus)))
-            next_id += 1
+        rtu = {sid: next_id + i for i, sid in enumerate(sorted(case.substations))}
+        next_id += len(rtu)
+        self.sensors: list[tuple[PacketKind, tuple[int, ...], int, int]] = []
+        for kind, buses in ((PacketKind.SCADA, case.buses), (PacketKind.PMU, self.topo.pmu_buses)):
+            for bus in sorted(buses):
+                sid = case.substation_of(bus)
+                via = (rtu[sid],) if kind is PacketKind.SCADA else ()
+                self.sensors.append((kind, (next_id, *via, gateway[sid]), bus, sid))
+                next_id += 1
         self.pmu_gateways = {
-            self.topo.gateway_of_substation[sid] for _, _, sid in self.pmu_sensors
+            route[-1] for kind, route, _, _ in self.sensors if kind is PacketKind.PMU
         }
 
     # ----- small utilities -----
@@ -178,6 +170,10 @@ class Simulation:
         count = len(self.index.alive_within(node.position, self.queue.now, exclude_id=node.id))
         self._cn_cache[node.id] = (self.queue.now, count)
         return count
+
+    def _sink(self, gw_id: int, kind: PacketKind) -> int:
+        """The sink that takes ``kind`` readings from this gateway's region."""
+        return self._sinks[kind][self.nodes[gw_id].region]
 
     def _battery_pct(self, node: SimNode) -> float:
         if math.isinf(node.battery_j):
@@ -224,8 +220,7 @@ class Simulation:
             return rt.scada_path
         gw = self.nodes[gw_id]
         now = self.queue.now
-        region = gw.region
-        rs = self.nodes[self.topo.rs_of_region[region]]
+        rs = self.nodes[self._sink(gw_id, PacketKind.SCADA)]
         scores: dict[int, float] = {}
         for cand in self.index.alive_within(gw.position, now):
             if cand.role is not Role.RELAY or cand.id in rt.excluded_scada:
@@ -253,7 +248,7 @@ class Simulation:
         if rt.pmu_path:
             return rt.pmu_path
         gw = self.nodes[gw_id]
-        pdc = self.nodes[self.topo.pdc_of_region[gw.region]]
+        pdc = self.nodes[self._sink(gw_id, PacketKind.PMU)]
         mid = self._greedy(gw.position, pdc, Role.EHRN, rt.excluded_pmu)
         if mid is None:
             return None
@@ -324,26 +319,21 @@ class Simulation:
         if pkt.kind is PacketKind.REROUTE:
             self._handle_reroute(node.id, pkt)
             return
-        if pkt.kind in (PacketKind.SCADA, PacketKind.PMU):
-            key = (self.gw_rs_key if pkt.kind is PacketKind.SCADA else self.gw_pdc_key).get(pkt.src)
-            if key is None:
-                self._drop(pkt, pkt.src, node.id, "no_route")
-                return
-            try:
-                plaintext = protocol.open_sealed(
-                    key, self.group_key, pkt.seq, pkt.ciphertext, pkt.tag
-                )
-            except protocol.TamperRejected:
-                self._reject(node, pkt)
-                return
-            reading = protocol.deserialize_reading(
-                plaintext, substation=self.nodes[pkt.src].substation or 0
-            )
-            self._credit_path(pkt)
-            self.ledger.at_sink([reading.id])
-            self._sink_buffer[node.id].append(reading)
+        key = self.pair_key.get((pkt.src, pkt.kind))
+        if key is None:
+            self._drop(pkt, pkt.src, node.id, "no_route")
             return
-        raise AssertionError(f"unexpected {pkt.kind} at node {node.id}")
+        try:
+            plaintext = protocol.open_sealed(key, self.group_key, pkt.seq, pkt.ciphertext, pkt.tag)
+        except protocol.TamperRejected:
+            self._reject(node, pkt)
+            return
+        reading = protocol.deserialize_reading(
+            plaintext, substation=self.nodes[pkt.src].substation or 0
+        )
+        self._credit_path(pkt)
+        self.ledger.at_sink([reading.id])
+        self._sink_buffer[node.id].append(reading)
 
     def _reject(self, sink: SimNode, pkt: Packet) -> None:
         """Tampered payload: refuse it and ask the sender to reroute."""
@@ -356,20 +346,19 @@ class Simulation:
             dst=pkt.src,
             kind=PacketKind.REROUTE,
             path=tuple(reversed(pkt.path)),
-            ref=(pkt.src, pkt.seq),
+            ref=pkt.reading_ids[0],
         )
         self._trace("reroute", back, sink.id, pkt.src)
         self._transmit(back, 0)
 
     def _handle_reroute(self, gw_id: int, pkt: Packet) -> None:
+        """The sink rejected reading ``pkt.ref``: route around the culprit and resend."""
         self.reroutes += 1
         rt = self.routing[gw_id]
-        src_gw, seq = pkt.ref
-        entry = self._recent[gw_id].pop(seq, None)
-        if entry is None:
-            return  # stale request; the reading was already handled
-        reading, culprit = entry
-        if reading.kind is PacketKind.SCADA:
+        state = self.ledger.entries[pkt.ref]
+        # The first relay or harvester past the gateway takes the blame.
+        culprit = pkt.path[-2] if len(pkt.path) > 2 else None
+        if state.reading.kind is PacketKind.SCADA:
             if culprit is not None:
                 rt.excluded_scada.add(culprit)
             rt.head = None
@@ -378,78 +367,61 @@ class Simulation:
             if culprit is not None:
                 rt.excluded_pmu.add(culprit)
             rt.pmu_path = ()
-        if self.ledger.entries[reading.id].retransmits < _MAX_RETRANSMITS:
-            self.ledger.resent(reading.id)
+        if state.retransmits < _MAX_RETRANSMITS:
+            self.ledger.resent(pkt.ref)
             self.retransmissions += 1
-            self._dispatch(gw_id, reading)
+            self._dispatch(gw_id, state.reading)
 
     # ----- gateway side -----
 
-    def _remember(self, gw_id: int, seq: int, reading: SensorReading, culprit: int | None) -> None:
-        self._recent[gw_id][seq] = (reading, culprit)
-        order = self._recent_order[gw_id]
-        order.append(seq)
-        while len(order) > _RECENT_PER_GATEWAY:
-            self._recent[gw_id].pop(order.popleft(), None)
-
     def _dispatch(self, gw_id: int, reading: SensorReading) -> None:
-        scada = reading.kind is PacketKind.SCADA
+        kind = reading.kind
+        scada = kind is PacketKind.SCADA
         path = self._ensure_scada_route(gw_id) if scada else self._ensure_pmu_route(gw_id)
-        key = (self.gw_rs_key if scada else self.gw_pdc_key)[gw_id]
         seq = self._next_seq(gw_id)
         if path is None:
-            sink = (self.topo.rs_of_region if scada else self.topo.pdc_of_region)[
-                self.nodes[gw_id].region
-            ]
-            doomed = Packet(seq, gw_id, sink, reading.kind, reading_ids=(reading.id,))
+            sink = self._sink(gw_id, kind)
+            doomed = Packet(seq, gw_id, sink, kind, reading_ids=(reading.id,))
             self._drop(doomed, gw_id, sink, "no_route")
             return
         ciphertext, tag = protocol.seal(
-            key, self.group_key, seq, protocol.serialize_reading(reading)
+            self.pair_key[(gw_id, kind)], self.group_key, seq, protocol.serialize_reading(reading)
         )
         pkt = Packet(
             seq=seq,
             src=gw_id,
             dst=path[-1],
-            kind=reading.kind,
+            kind=kind,
             ciphertext=ciphertext,
             tag=tag,
             path=path,
             reading_ids=(reading.id,),
         )
-        # The first relay or harvester past the gateway takes the blame.
-        self._remember(gw_id, seq, reading, path[1] if len(path) > 2 else None)
         self._transmit(pkt, 0)
 
     # ----- sensing plane -----
 
-    def _new_reading(self, kind: PacketKind, bus: int, substation: int) -> SensorReading:
-        self._reading_seq += 1
-        return SensorReading(
-            self._reading_seq, kind, bus, substation, self.queue.now, self.rng_traffic.random()
-        )
+    def _gap(self, kind: PacketKind) -> float:
+        """Time to a sensor's next reading: exponential for SCADA, one frame
+        period for phasors."""
+        if kind is PacketKind.SCADA:
+            return self.rng_traffic.expovariate(1.0 / self.cfg.scada_interval_s)
+        return 1.0 / self.cfg.pmu_rate_hz
 
-    def _sense(self, kind: PacketKind, route: tuple[int, ...], bus: int, substation: int) -> None:
+    def _fire(self, sensor: tuple[PacketKind, tuple[int, ...], int, int]) -> None:
         """A reading leaves its sensor over the substation's wired links."""
-        reading = self._new_reading(kind, bus, substation)
+        kind, route, bus, substation = sensor
+        now = self.queue.now
+        self._reading_seq += 1
+        reading = SensorReading(
+            self._reading_seq, kind, bus, substation, now, self.rng_traffic.random()
+        )
         self.ledger.generated(reading)
         pkt = Packet(reading.id, route[0], route[-1], kind)
         self._wired_send(pkt, route, 0, self.cfg.intra_substation_latency_s)
-
-    def _mu_fire(self, sensor_id: int, bus: int, substation: int) -> None:
-        route = (sensor_id, self.rtu_of_substation[substation],
-                 self.topo.gateway_of_substation[substation])
-        self._sense(PacketKind.SCADA, route, bus, substation)
-        nxt = self.queue.now + self.rng_traffic.expovariate(1.0 / self.cfg.scada_interval_s)
+        nxt = now + self._gap(kind)
         if nxt < self._traffic_end:
-            self.queue.schedule(nxt, self._mu_fire, sensor_id, bus, substation)
-
-    def _pmu_fire(self, sensor_id: int, bus: int, substation: int) -> None:
-        route = (sensor_id, self.topo.gateway_of_substation[substation])
-        self._sense(PacketKind.PMU, route, bus, substation)
-        nxt = self.queue.now + 1.0 / self.cfg.pmu_rate_hz
-        if nxt < self._traffic_end:
-            self.queue.schedule(nxt, self._pmu_fire, sensor_id, bus, substation)
+            self.queue.schedule(nxt, self._fire, sensor)
 
     # ----- wired walk, aggregation and the optical plane -----
 
@@ -547,17 +519,15 @@ class Simulation:
         for sid in sorted(self.topo.gateway_of_substation):
             gw_id = self.topo.gateway_of_substation[sid]
             gw = self.nodes[gw_id]
-            region = gw.region
-            rs = self.nodes[self.topo.rs_of_region[region]]
-            pdc = self.nodes[self.topo.pdc_of_region[region]]
             plans: list[tuple[int, tuple[int, ...]]] = []
             for cand in self.index.alive_within(gw.position, 0.0):
                 if cand.role is Role.RELAY:
-                    sink = rs
+                    kind = PacketKind.SCADA
                 elif gw_id in self.pmu_gateways:
-                    sink = pdc
+                    kind = PacketKind.PMU
                 else:
                     continue
+                sink = self.nodes[self._sink(gw_id, kind)]
                 mid = self._greedy(cand.position, sink, cand.role, {cand.id})
                 if mid is None:
                     path = (gw_id, cand.id)  # walk will stall at the candidate
@@ -587,13 +557,14 @@ class Simulation:
                 self._ensure_pmu_route(gw_id)
 
     def _start_traffic(self) -> None:
-        setup = self.cfg.setup_s
-        for sensor_id, bus, sid in self.mu_sensors:
-            first = setup + self.rng_traffic.expovariate(1.0 / self.cfg.scada_interval_s)
+        """Measurement sensors first fire at a random offset into traffic,
+        phasor sensors at its very start."""
+        for sensor in self.sensors:
+            first = self.cfg.setup_s
+            if sensor[0] is PacketKind.SCADA:
+                first += self._gap(PacketKind.SCADA)
             if first < self._traffic_end:
-                self.queue.schedule(first, self._mu_fire, sensor_id, bus, sid)
-        for sensor_id, bus, sid in self.pmu_sensors:
-            self.queue.schedule(setup, self._pmu_fire, sensor_id, bus, sid)
+                self.queue.schedule(first, self._fire, sensor)
 
     def _schedule_windows(self) -> None:
         window = self.cfg.aggregation_window_s
@@ -667,7 +638,7 @@ class Simulation:
 
     def audit(self) -> None:
         """Closure and dual-delivery audit; raises AuditError on any leak."""
-        self.ledger.audit_closure()
+        self.ledger.audit_closure(r.id for held in self._sink_buffer.values() for r in held)
         for state in self.ledger.entries.values():
             if state.status == "delivered" and not state.delivered_backup:
                 raise AuditError(

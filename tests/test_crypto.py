@@ -299,6 +299,23 @@ def test_pk_detects_corruption():
         pk_decrypt(TOY, kp.private, bytes(sealed))
 
 
+def test_non_canonical_points_are_rejected():
+    rng = random.Random(3)
+    kp = keypair_generate(TOY, rng)
+    sealed = bytearray(pk_encrypt(TOY, kp.public, b"aggregate", rng))
+    assert sealed[0] == 0x05  # the ephemeral x; x + p = 0x16 still fits a byte
+    sealed[0] += TOY.p
+    with pytest.raises(CryptoError):
+        pk_decrypt(TOY, kp.private, bytes(sealed))
+    x, y = kp.public
+    for twin in ((x + TOY.p, y), (x, y + TOY.p), (x - TOY.p, y)):
+        assert not is_on_curve(TOY, twin)
+        with pytest.raises(CryptoError):
+            ecdh_shared(TOY, 3, twin)
+        with pytest.raises(CryptoError):
+            pk_encrypt(TOY, twin, b"x", random.Random(1))
+
+
 def test_pk_rejects_truncation():
     rng = random.Random(8)
     kp = keypair_generate(TOY, rng)

@@ -110,7 +110,19 @@ def test_audit_closure_flags_lost_readings():
     ledger.generated(reading(1))
     ledger.entries[1].status = "dropped"  # dropped without a cause bucket
     ledger.entries[1].drop_cause = None
-    with pytest.raises((AuditError, KeyError)):
+    with pytest.raises(AuditError):
+        ledger.audit_closure()
+
+
+def test_audit_closure_flags_in_flight_readings_no_sink_holds():
+    ledger = ReadingLedger()
+    ledger.generated(reading(1))
+    ledger.generated(reading(2, PacketKind.PMU))
+    ledger.at_sink([2])
+    ledger.audit_closure(held=[1, 2])  # both still buffered at a sink
+    with pytest.raises(AuditError):
+        ledger.audit_closure(held=[2])  # reading 1 is nowhere
+    with pytest.raises(AuditError):
         ledger.audit_closure()
 
 

@@ -263,7 +263,7 @@ def test_packet_size_accounts_for_payload_and_reroute_ref():
     assert pkt.size_bits() == (HEADER_BYTES + 23 + 32) * 8
     bare = Packet(seq=1, src=2, dst=3, kind=PacketKind.TEST)
     assert bare.size_bits() == HEADER_BYTES * 8
-    rr = Packet(seq=2, src=3, dst=2, kind=PacketKind.REROUTE, ref=(9, 1))
+    rr = Packet(seq=2, src=3, dst=2, kind=PacketKind.REROUTE, ref=9)
     assert rr.size_bits() == (HEADER_BYTES + 8) * 8
 
 

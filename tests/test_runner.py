@@ -8,8 +8,10 @@ import re
 import pytest
 
 from gridmon.attacks import AttackConfig
+import gridmon.cli
 from gridmon.cli import main
-from gridmon.metrics import read_csv
+from gridmon.metrics import AuditError, read_csv
+from gridmon.protocol import PacketKind
 from gridmon.runner import SWEEP_AXES, run_scenario, run_simulation, sweep, sweep_fieldnames
 from gridmon.scenario import _SECTION_KEYS, ScenarioConfig, ScenarioError, load_scenario
 
@@ -192,6 +194,26 @@ def test_sinks_hold_readings_until_the_control_center_key_arrives(
     assert record.pmu_in_flight == 1505 - record.pmu_delivered  # 1505 with the 30 s ring
 
 
+def test_tampering_harvester_is_rerouted_around_on_the_phasor_route(scenarios_dir):
+    # At 12 km range gateway 3's phasor frames reach the PDC over a harvester.
+    cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), range_m=12000.0)
+    clean = run_simulation(cfg, seed=4)
+    paths = [rt.pmu_path for rt in clean.routing.values() if len(rt.pmu_path) > 2]
+    assert paths, "expected a phasor route over a harvester"
+    villain = paths[0][1]
+
+    attacked = dataclasses.replace(
+        cfg, attack=AttackConfig(tamper_nodes=frozenset({villain}), activation_time=1.0)
+    )
+    sim = run_simulation(attacked, seed=4)
+    record = sim.metrics
+    assert villain in set().union(*(rt.excluded_pmu for rt in sim.routing.values()))
+    assert record.tamper_rejections == record.reroutes >= 1
+    assert record.retransmissions == record.reroutes
+    assert sim.ledger.summarize(PacketKind.PMU)["drops"]["rejected"] == 0
+    assert record.pmu_delivered == record.pmu_generated
+
+
 def test_sweep_emits_per_seed_rows_and_mean_rows(mini_ini):
     cfg = load_scenario(str(mini_ini))
     rows = sweep(cfg, axis="compromised", values=[0, 2], seeds=[1, 2])
@@ -289,6 +311,15 @@ def test_cli_input_errors_exit_1(tmp_path):
     assert main(["run", "--scenario", str(bad)]) == 1
     assert main(["topology", "--case", str(tmp_path / "no.case"),
                  "--out", str(tmp_path / "o.txt")]) == 1
+
+
+def test_cli_audit_failure_exits_3(mini_ini, monkeypatch, capsys):
+    def leaky_run(*args, **kwargs):
+        raise AuditError("reading 7 is in_flight but neither delivered, dropped nor held")
+
+    monkeypatch.setattr(gridmon.cli, "run_scenario", leaky_run)
+    assert main(["run", "--scenario", str(mini_ini)]) == 3
+    assert "error: audit failed: reading 7" in capsys.readouterr().err
 
 
 def test_cli_usage_errors_exit_2(mini_ini, capsys):
