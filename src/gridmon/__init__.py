@@ -20,7 +20,6 @@ from .crypto import (
     pk_decrypt,
     pk_encrypt,
     rc5_ctr,
-    rc5_decrypt_block,
     rc5_encrypt_block,
     rc5_key_schedule,
 )

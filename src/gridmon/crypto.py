@@ -13,6 +13,9 @@ Points are affine ``(x, y)`` tuples; ``None`` is the point at infinity.
 The API stays affine, but ``scalar_mult`` works in Jacobian coordinates
 inside, with one inversion per multiplication, and multiplies the base
 point ``G`` from a fixed-base window table built once per curve.
+
+RC5 key schedules are memoized per key; ``protocol.seal`` keeps RC5-CTR
+counter blocks disjoint under a key (48-bit sequence, 16-bit block index).
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ import functools
 import hashlib
 import hmac as _hmac
 import random
+import struct
 from dataclasses import dataclass
-
-Point = "tuple[int, int] | None"
 
 
 class CryptoError(ValueError):
@@ -252,71 +254,61 @@ def _rotl(x: int, s: int) -> int:
     return ((x << s) | (x >> (32 - s))) & _M32
 
 
-def _rotr(x: int, s: int) -> int:
-    s &= 31
-    return ((x >> s) | (x << (32 - s))) & _M32
+@functools.lru_cache(maxsize=512)
+def rc5_key_schedule(key: bytes) -> tuple[int, ...]:
+    """Expand a 16-byte (hashable) key into the 26-word round key table.
 
-
-def rc5_key_schedule(key: bytes) -> list[int]:
-    """Expand a 16-byte key into the 26-word round key table."""
+    Memoized over the last 512 distinct keys: room for a 118-bus run's 214
+    pairwise keys beside the one-use keys of public-key seals.
+    """
     if len(key) != RC5_KEY_BYTES:
         raise CryptoError(f"RC5 key must be {RC5_KEY_BYTES} bytes, got {len(key)}")
     t = 2 * (RC5_ROUNDS + 1)
-    c = RC5_KEY_BYTES // 4
-    L = [int.from_bytes(key[4 * i : 4 * i + 4], "little") for i in range(c)]
-    S = [0] * t
-    S[0] = _P32
-    for i in range(1, t):
-        S[i] = (S[i - 1] + _Q32) & _M32
-    A = B = i = j = 0
-    for _ in range(3 * max(t, c)):
-        A = S[i] = _rotl((S[i] + A + B) & _M32, 3)
-        B = L[j] = _rotl((L[j] + A + B) & _M32, A + B)
-        i = (i + 1) % t
-        j = (j + 1) % c
-    return S
+    L = list(struct.unpack("<4I", key))
+    S = [(_P32 + i * _Q32) & _M32 for i in range(t)]
+    A = B = 0
+    for k in range(3 * t):
+        A = S[k % t] = _rotl((S[k % t] + A + B) & _M32, 3)
+        B = L[k % 4] = _rotl((L[k % 4] + A + B) & _M32, A + B)
+    return tuple(S)
 
 
-def rc5_encrypt_block(S: list[int], block: bytes) -> bytes:
+def rc5_encrypt_block(S: tuple[int, ...], block: bytes) -> bytes:
+    """Encrypt one 8-byte block: the CTR keystream of the block as a counter."""
     if len(block) != RC5_BLOCK_BYTES:
         raise CryptoError("RC5 block must be 8 bytes")
-    A = (int.from_bytes(block[0:4], "little") + S[0]) & _M32
-    B = (int.from_bytes(block[4:8], "little") + S[1]) & _M32
-    for i in range(1, RC5_ROUNDS + 1):
-        A = (_rotl(A ^ B, B) + S[2 * i]) & _M32
-        B = (_rotl(B ^ A, A) + S[2 * i + 1]) & _M32
-    return A.to_bytes(4, "little") + B.to_bytes(4, "little")
-
-
-def rc5_decrypt_block(S: list[int], block: bytes) -> bytes:
-    if len(block) != RC5_BLOCK_BYTES:
-        raise CryptoError("RC5 block must be 8 bytes")
-    A = int.from_bytes(block[0:4], "little")
-    B = int.from_bytes(block[4:8], "little")
-    for i in range(RC5_ROUNDS, 0, -1):
-        B = _rotr((B - S[2 * i + 1]) & _M32, A) ^ A
-        A = _rotr((A - S[2 * i]) & _M32, B) ^ B
-    A = (A - S[0]) & _M32
-    B = (B - S[1]) & _M32
-    return A.to_bytes(4, "little") + B.to_bytes(4, "little")
+    return rc5_ctr(S, int.from_bytes(block, "little"), bytes(RC5_BLOCK_BYTES))
 
 
 def rc5_ctr(key_or_schedule, nonce: int, data: bytes) -> bytes:
     """Counter-mode keystream XOR; encryption and decryption are the same op.
 
-    The keystream block i is RC5(E, nonce + i), with the 64-bit counter
-    encoded little-endian.  Nonce reuse under one key breaks confidentiality,
-    so callers must keep (key, nonce) pairs unique.
+    Keystream block i is RC5(E, (nonce + i) mod 2**64), encoded little-endian
+    and XORed as one integer.  Callers keep each (key, counter block) unique;
+    ``seal`` puts a 48-bit sequence number above a 16-bit block index.  A key
+    goes through the memoized ``rc5_key_schedule``; a list or tuple is taken
+    as an expanded schedule.
     """
-    S = key_or_schedule if isinstance(key_or_schedule, list) else rc5_key_schedule(key_or_schedule)
-    out = bytearray(len(data))
-    for i in range(0, len(data), RC5_BLOCK_BYTES):
-        counter = ((nonce + i // RC5_BLOCK_BYTES) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        ks = rc5_encrypt_block(S, counter)
-        chunk = data[i : i + RC5_BLOCK_BYTES]
-        for j, byte in enumerate(chunk):
-            out[i + j] = byte ^ ks[j]
-    return bytes(out)
+    S = key_or_schedule
+    if not isinstance(S, (list, tuple)):
+        # Any bytes-like key; memoryview refuses the int that bytes() would zero-fill.
+        S = rc5_key_schedule(bytes(memoryview(S)))
+    rounds = tuple(zip(S[2::2], S[3::2]))
+    n = len(data)
+    blocks = -(-n // RC5_BLOCK_BYTES)
+    stream = []
+    for counter in range(nonce, nonce + blocks):
+        A = ((counter & _M32) + S[0]) & _M32
+        B = ((counter >> 32 & _M32) + S[1]) & _M32
+        for sa, sb in rounds:
+            # _rotl inlined: x << r keeps bits above 32; the mask after the add drops them.
+            x, r = A ^ B, B & 31
+            A = ((x << r | x >> (32 - r)) + sa) & _M32
+            x, r = B ^ A, A & 31
+            B = ((x << r | x >> (32 - r)) + sb) & _M32
+        stream.append(A | B << 32)
+    pad = struct.pack(f"<{blocks}Q", *stream)[:n]
+    return (int.from_bytes(data, "little") ^ int.from_bytes(pad, "little")).to_bytes(n, "little")
 
 
 # ===== message authentication =====

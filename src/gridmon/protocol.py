@@ -13,7 +13,7 @@ import enum
 import struct
 from dataclasses import dataclass, field
 
-from .crypto import CryptoError, nested_hmac, rc5_ctr, tags_equal
+from .crypto import RC5_BLOCK_BYTES, nested_hmac, rc5_ctr, tags_equal
 
 
 class ProtocolError(ValueError):
@@ -35,7 +35,6 @@ class PacketKind(enum.Enum):
 
 # Fixed framing overhead per packet: addressing, sequence, kind, checksums.
 HEADER_BYTES = 24
-TAG_BYTES = 32
 
 
 @dataclass
@@ -98,9 +97,19 @@ def deserialize_reading(data: bytes, substation: int = 0) -> SensorReading:
 # ===== sealing =====
 
 
+def _counter_base(seq: int, length: int) -> int:
+    """First RC5-CTR counter block (NIST SP 800-38A, App. B): a 48-bit sequence
+    number above a 16-bit block index, so two messages never share a block."""
+    if not 0 <= seq < 1 << 48:
+        raise ProtocolError(f"sequence number {seq} outside [0, 2**48)")
+    if length > RC5_BLOCK_BYTES << 16:
+        raise ProtocolError(f"{length}-byte message exceeds 2**16 RC5 blocks")
+    return seq << 16
+
+
 def seal(pairwise_key: bytes, group_key: bytes, nonce: int, plaintext: bytes) -> tuple[bytes, bytes]:
-    """Encrypt under the pairwise key and tag with the nested HMAC."""
-    ciphertext = rc5_ctr(pairwise_key, nonce, plaintext)
+    """Encrypt under the pairwise key and tag with the nested HMAC; ``nonce``: sequence number."""
+    ciphertext = rc5_ctr(pairwise_key, _counter_base(nonce, len(plaintext)), plaintext)
     tag = nested_hmac(group_key, pairwise_key, ciphertext)
     return ciphertext, tag
 
@@ -112,7 +121,7 @@ def open_sealed(
     expect = nested_hmac(group_key, pairwise_key, ciphertext)
     if not tags_equal(expect, tag):
         raise TamperRejected("nested authentication tag mismatch")
-    return rc5_ctr(pairwise_key, nonce, ciphertext)
+    return rc5_ctr(pairwise_key, _counter_base(nonce, len(ciphertext)), ciphertext)
 
 
 # ===== aggregates =====

@@ -23,7 +23,6 @@ from gridmon.crypto import (
     pk_encrypt,
     point_add,
     rc5_ctr,
-    rc5_decrypt_block,
     rc5_encrypt_block,
     rc5_key_schedule,
     scalar_mult,
@@ -46,11 +45,58 @@ RC5_VECTORS = [
 ]
 
 
+M32 = 0xFFFFFFFF
+
+
+def rotl(x, s):
+    s &= 31
+    return ((x << s) | (x >> (32 - s))) & M32
+
+
+def rotr(x, s):
+    s &= 31
+    return ((x >> s) | (x << (32 - s))) & M32
+
+
+def reference_encrypt_block(S, block):
+    """RC5-32/12 encryption, round by round (Rivest 1994)."""
+    A = (int.from_bytes(block[0:4], "little") + S[0]) & M32
+    B = (int.from_bytes(block[4:8], "little") + S[1]) & M32
+    for i in range(1, 13):
+        A = (rotl(A ^ B, B) + S[2 * i]) & M32
+        B = (rotl(B ^ A, A) + S[2 * i + 1]) & M32
+    return A.to_bytes(4, "little") + B.to_bytes(4, "little")
+
+
+def reference_decrypt_block(S, block):
+    """RC5-32/12 decryption: the block function's inverse, which CTR never needs."""
+    A = int.from_bytes(block[0:4], "little")
+    B = int.from_bytes(block[4:8], "little")
+    for i in range(12, 0, -1):
+        B = rotr((B - S[2 * i + 1]) & M32, A) ^ A
+        A = rotr((A - S[2 * i]) & M32, B) ^ B
+    A = (A - S[0]) & M32
+    B = (B - S[1]) & M32
+    return A.to_bytes(4, "little") + B.to_bytes(4, "little")
+
+
+def reference_ctr(S, nonce, data):
+    """Byte-by-byte CTR over the reference block: counter nonce + i mod 2**64."""
+    out = bytearray(len(data))
+    for i in range(0, len(data), 8):
+        counter = ((nonce + i // 8) % 2**64).to_bytes(8, "little")
+        ks = reference_encrypt_block(S, counter)
+        for j, byte in enumerate(data[i : i + 8]):
+            out[i + j] = byte ^ ks[j]
+    return bytes(out)
+
+
 @pytest.mark.parametrize("key_hex,pt_hex,ct_hex", RC5_VECTORS)
 def test_rc5_known_answers(key_hex, pt_hex, ct_hex):
     schedule = rc5_key_schedule(bytes.fromhex(key_hex))
     assert rc5_encrypt_block(schedule, bytes.fromhex(pt_hex)).hex() == ct_hex
-    assert rc5_decrypt_block(schedule, bytes.fromhex(ct_hex)).hex() == pt_hex
+    assert reference_encrypt_block(schedule, bytes.fromhex(pt_hex)).hex() == ct_hex
+    assert reference_decrypt_block(schedule, bytes.fromhex(ct_hex)).hex() == pt_hex
 
 
 def test_rc5_key_and_block_sizes():
@@ -60,7 +106,34 @@ def test_rc5_key_and_block_sizes():
     with pytest.raises(CryptoError):
         rc5_encrypt_block(schedule, b"\x00" * 7)
     with pytest.raises(CryptoError):
-        rc5_decrypt_block(schedule, b"\x00" * 9)
+        rc5_encrypt_block(schedule, b"\x00" * 9)
+
+
+def test_rc5_key_schedule_is_memoized_and_bounded():
+    for _ in range(2):  # an exception is not memoized
+        with pytest.raises(CryptoError):
+            rc5_key_schedule(b"\x00" * 15)
+    key = bytes(range(16))
+    schedule = rc5_key_schedule(key)
+    assert isinstance(schedule, tuple) and len(schedule) == 26
+    assert rc5_key_schedule(bytes(bytearray(key))) is schedule  # an equal key, another object
+    assert rc5_ctr(bytearray(key), 3, b"a reading") == rc5_ctr(key, 3, b"a reading")
+    assert isinstance(rc5_key_schedule.cache_info().maxsize, int)  # None would be unbounded
+
+
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    nonce=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 40, 2**64 - 1)),
+    data=st.binary(max_size=300),
+    form=st.sampled_from(["key", "list", "tuple"]),
+)
+@example(key=bytes(16), nonce=2**64 - 1, data=bytes(17), form="key")
+@example(key=bytes(16), nonce=2**64 - 2, data=bytes(300), form="list")
+@example(key=bytes(16), nonce=0, data=b"", form="tuple")
+def test_rc5_ctr_matches_the_block_by_block_reference(key, nonce, data, form):
+    schedule = rc5_key_schedule(key)
+    arg = {"key": key, "list": list(schedule), "tuple": schedule}[form]
+    assert rc5_ctr(arg, nonce, data) == reference_ctr(schedule, nonce, data)
 
 
 @pytest.mark.parametrize("length", [0, 1, 7, 8, 15, 16, 17, 1000])
