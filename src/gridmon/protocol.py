@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crypto import RC5_BLOCK_BYTES, nested_hmac, rc5_ctr, tags_equal
 
@@ -215,16 +215,3 @@ def elect_cluster_head(scores: dict[int, float]) -> int | None:
             best_id = nid
     return best_id
 
-
-# ===== per-gateway routing state =====
-
-
-@dataclass
-class RoutingTable:
-    """A gateway's current forwarding choices, kept until a reroute request."""
-
-    head: int | None = None
-    scada_path: tuple[int, ...] = ()
-    pmu_path: tuple[int, ...] = ()
-    excluded_scada: set[int] = field(default_factory=set)
-    excluded_pmu: set[int] = field(default_factory=set)

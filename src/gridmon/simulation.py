@@ -4,7 +4,8 @@ Wires topology, engine, crypto, protocol, and attacks into one seeded run:
 
 1. setup (attack-free): key agreement, key distribution over the optical
    rings, trust bootstrap with test traffic through every candidate node,
-2. election of cluster heads and first routes at the end of setup,
+2. election of cluster heads and first routes at the end of setup; each
+   (gateway, kind) flow keeps its route and its exclusions until a reroute,
 3. measured traffic for the configured duration (event-driven readings plus
    fixed-rate phasor frames), windows aggregated at the sinks and sealed to
    the control centers over the ring,
@@ -33,7 +34,7 @@ from .metrics import (
     mean,
     p95,
 )
-from .protocol import Packet, PacketKind, RoutingTable, SensorReading, TrustLedger
+from .protocol import Packet, PacketKind, SensorReading, TrustLedger
 from .scenario import ScenarioConfig
 from .topology import Role, Topology, distance
 
@@ -73,11 +74,9 @@ class Simulation:
 
         self.trust = TrustLedger()
         self.ledger = ReadingLedger()
-        self.routing: dict[int, RoutingTable] = {}
         self.packet_drops = {cause: 0 for cause in DROP_CAUSES}
         self.tamper_rejections = 0
         self.reroutes = 0
-        self.retransmissions = 0
         self._seq: dict[int, int] = {}
         self._reading_seq = 0
         self._aggregate_seq = 0
@@ -100,10 +99,7 @@ class Simulation:
         self._sink_buffer: dict[int, list[SensorReading]] = {
             nid: [] for sinks in self._sinks.values() for nid in sinks.values()
         }
-        self.sink_cc_pub: dict[int, tuple[int, int] | None] = {
-            nid: None for nid in self._sink_buffer
-        }
-        self.backup_private: int | None = None
+        self.keyed: set[int] = set()  # nodes that key distribution reached
 
         self.metrics: MetricsRecord | None = None
 
@@ -116,15 +112,20 @@ class Simulation:
         for sinks in self._sinks.values():
             for rid in sorted(sinks):
                 sink_keys[sinks[rid]] = keypair_generate(self.curve, self.rng_crypto)
-        # Each gateway shares one pairwise key with each of its region's sinks.
+        # Each gateway shares one pairwise key with each of its region's sinks,
+        # bound to the flow's label so small-curve ECDH collisions stay apart.
         self.pair_key: dict[tuple[int, PacketKind], bytes] = {}
+        self.route: dict[tuple[int, PacketKind], tuple[int, ...]] = {}
+        self.excluded: dict[tuple[int, PacketKind], set[int]] = {}  # for good
         for sid in sorted(topo.gateway_of_substation):
             gw = topo.gateway_of_substation[sid]
             gw_kp = keypair_generate(self.curve, self.rng_crypto)
             for kind in self._sinks:
                 sink_public = sink_keys[self._sink(gw, kind)].public
-                self.pair_key[(gw, kind)] = ecdh_shared(self.curve, gw_kp.private, sink_public)
-            self.routing[gw] = RoutingTable()
+                shared = ecdh_shared(self.curve, gw_kp.private, sink_public)
+                label = f"pair:{gw}:{kind.value}:".encode()
+                self.pair_key[(gw, kind)] = hashlib.sha256(label + shared).digest()[:16]
+                self.excluded[(gw, kind)] = set()
 
     def _setup_sensors(self) -> None:
         """Number the wired sensing plane after the deployed nodes: RTUs,
@@ -143,9 +144,7 @@ class Simulation:
                 via = (rtu[sid],) if kind is PacketKind.SCADA else ()
                 self.sensors.append((kind, (next_id, *via, gateway[sid]), bus, sid))
                 next_id += 1
-        self.pmu_gateways = {
-            route[-1] for kind, route, _, _ in self.sensors if kind is PacketKind.PMU
-        }
+        self.flows = {(route[-1], kind) for kind, route, _, _ in self.sensors}
 
     # ----- small utilities -----
 
@@ -214,46 +213,48 @@ class Simulation:
             pos = best.position
         return None
 
-    def _ensure_scada_route(self, gw_id: int) -> tuple[int, ...] | None:
-        rt = self.routing[gw_id]
-        if rt.scada_path:
-            return rt.scada_path
-        gw = self.nodes[gw_id]
-        now = self.queue.now
-        rs = self.nodes[self._sink(gw_id, PacketKind.SCADA)]
-        scores: dict[int, float] = {}
-        for cand in self.index.alive_within(gw.position, now):
-            if cand.role is not Role.RELAY or cand.id in rt.excluded_scada:
-                continue
-            scores[cand.id] = protocol.candidate_value(
-                self._battery_pct(cand),
-                self.trust.trust_value(cand.id),
-                self._connectivity(cand),
-            )
-        # Walk candidates in election order until one has a live route.
-        while scores:
-            head = protocol.elect_cluster_head(scores)
-            if head is None:
-                return None
-            mid = self._greedy(self.nodes[head].position, rs, Role.RELAY, {head})
-            if mid is not None:
-                rt.head = head
-                rt.scada_path = (gw_id, head, *mid, rs.id)
-                return rt.scada_path
-            del scores[head]
-        return None
+    def _route(self, gw_id: int, kind: PacketKind) -> tuple[int, ...] | None:
+        """The flow's stored route, or a new one stored until a reroute request.
 
-    def _ensure_pmu_route(self, gw_id: int) -> tuple[int, ...] | None:
-        rt = self.routing[gw_id]
-        if rt.pmu_path:
-            return rt.pmu_path
+        SCADA elects a head among the relays in range that the flow has not
+        excluded, then walks relays greedily from it excluding only the head:
+        an excluded relay never heads again but may still relay further on.
+        Phasor frames walk harvesters from the gateway, avoiding all excluded.
+        """
+        flow = (gw_id, kind)
+        path = self.route.get(flow)
+        if path is not None:
+            return path
         gw = self.nodes[gw_id]
-        pdc = self.nodes[self._sink(gw_id, PacketKind.PMU)]
-        mid = self._greedy(gw.position, pdc, Role.EHRN, rt.excluded_pmu)
-        if mid is None:
-            return None
-        rt.pmu_path = (gw_id, *mid, pdc.id)
-        return rt.pmu_path
+        sink = self.nodes[self._sink(gw_id, kind)]
+        excluded = self.excluded[flow]
+        if kind is PacketKind.PMU:
+            mid = self._greedy(gw.position, sink, Role.EHRN, excluded)
+            if mid is not None:
+                path = (gw_id, *mid, sink.id)
+        else:
+            scores: dict[int, float] = {}
+            for cand in self.index.alive_within(gw.position, self.queue.now):
+                if cand.role is not Role.RELAY or cand.id in excluded:
+                    continue
+                scores[cand.id] = protocol.candidate_value(
+                    self._battery_pct(cand),
+                    self.trust.trust_value(cand.id),
+                    self._connectivity(cand),
+                )
+            # Walk candidates in election order until one has a live route.
+            while scores:
+                head = protocol.elect_cluster_head(scores)
+                if head is None:
+                    break
+                mid = self._greedy(self.nodes[head].position, sink, Role.RELAY, {head})
+                if mid is not None:
+                    path = (gw_id, head, *mid, sink.id)
+                    break
+                del scores[head]
+        if path is not None:
+            self.route[flow] = path
+        return path
 
     # ----- wireless walk -----
 
@@ -354,30 +355,21 @@ class Simulation:
     def _handle_reroute(self, gw_id: int, pkt: Packet) -> None:
         """The sink rejected reading ``pkt.ref``: route around the culprit and resend."""
         self.reroutes += 1
-        rt = self.routing[gw_id]
         state = self.ledger.entries[pkt.ref]
+        flow = (gw_id, state.reading.kind)
         # The first relay or harvester past the gateway takes the blame.
-        culprit = pkt.path[-2] if len(pkt.path) > 2 else None
-        if state.reading.kind is PacketKind.SCADA:
-            if culprit is not None:
-                rt.excluded_scada.add(culprit)
-            rt.head = None
-            rt.scada_path = ()
-        else:
-            if culprit is not None:
-                rt.excluded_pmu.add(culprit)
-            rt.pmu_path = ()
+        if len(pkt.path) > 2:
+            self.excluded[flow].add(pkt.path[-2])
+        self.route.pop(flow, None)
         if state.retransmits < _MAX_RETRANSMITS:
             self.ledger.resent(pkt.ref)
-            self.retransmissions += 1
             self._dispatch(gw_id, state.reading)
 
     # ----- gateway side -----
 
     def _dispatch(self, gw_id: int, reading: SensorReading) -> None:
         kind = reading.kind
-        scada = kind is PacketKind.SCADA
-        path = self._ensure_scada_route(gw_id) if scada else self._ensure_pmu_route(gw_id)
+        path = self._route(gw_id, kind)
         seq = self._next_seq(gw_id)
         if path is None:
             sink = self._sink(gw_id, kind)
@@ -436,7 +428,7 @@ class Simulation:
         kind = pkt.kind
         self._trace("recv", pkt, route[idx - 1], node_id)
         if kind is PacketKind.KEYDIST:
-            self._store_key(node_id)
+            self.keyed.add(node_id)
         if idx < len(route) - 1:
             self._wired_send(pkt, route, idx, latency_s)
         elif kind is PacketKind.AGGREGATE:
@@ -456,8 +448,7 @@ class Simulation:
 
     def _flush_sink(self, sink_id: int, window_start: float, window_end: float) -> None:
         buffered = self._sink_buffer[sink_id]
-        cc_pub = self.sink_cc_pub[sink_id]
-        if not buffered or cc_pub is None:
+        if not buffered or sink_id not in self.keyed:
             return  # until the control-center key arrives, readings wait
         readings = list(buffered)
         buffered.clear()
@@ -466,7 +457,7 @@ class Simulation:
         self.ledger.aggregated(ids, self._aggregate_seq)
         sink = self.nodes[sink_id]
         blob = protocol.build_aggregate(sink.region, window_start, window_end, readings)
-        sealed = pk_encrypt(self.curve, cc_pub, blob, self.rng_crypto)
+        sealed = pk_encrypt(self.curve, self.cc_keypair.public, blob, self.rng_crypto)
         ring = self.topo.rs_ring if sink.role is Role.RS else self.topo.pdc_ring
         main_gw, backup_gw = self.topo.cc_gateways
         main_srv, backup_srv = self.topo.cc_servers
@@ -484,9 +475,8 @@ class Simulation:
 
     def _server_receive(self, server_id: int, pkt: Packet) -> None:
         backup = server_id == self.topo.cc_servers[1]
-        private = self.backup_private if backup else self.cc_keypair.private
-        assert private is not None, "backup server is missing the shared private key"
-        blob = pk_decrypt(self.curve, private, pkt.ciphertext)
+        assert not backup or server_id in self.keyed, "backup server is missing the shared private key"
+        blob = pk_decrypt(self.curve, self.cc_keypair.private, pkt.ciphertext)
         _, _, _, readings = protocol.parse_aggregate(blob)
         self.ledger.delivered([r.id for r in readings], self.queue.now, backup=backup)
 
@@ -504,14 +494,6 @@ class Simulation:
         pkt = Packet(self._next_seq(main_srv), main_srv, backup_srv, PacketKind.KEYDIST)
         self._wired_send(pkt, (main_srv, main_gw, backup_gw, backup_srv), 0, latency)
 
-    def _store_key(self, node_id: int) -> None:
-        """Key distribution reached ``node_id``: sinks keep the CC public
-        key, the backup server the private key."""
-        if node_id in self.sink_cc_pub:
-            self.sink_cc_pub[node_id] = self.cc_keypair.public
-        elif node_id == self.topo.cc_servers[1]:
-            self.backup_private = self.cc_keypair.private
-
     def _bootstrap_trust(self) -> None:
         """Probe every candidate with test packets; delivery feeds the trust
         ledger before the first election."""
@@ -519,25 +501,17 @@ class Simulation:
         for sid in sorted(self.topo.gateway_of_substation):
             gw_id = self.topo.gateway_of_substation[sid]
             gw = self.nodes[gw_id]
-            plans: list[tuple[int, tuple[int, ...]]] = []
             for cand in self.index.alive_within(gw.position, 0.0):
-                if cand.role is Role.RELAY:
-                    kind = PacketKind.SCADA
-                elif gw_id in self.pmu_gateways:
-                    kind = PacketKind.PMU
-                else:
+                kind = PacketKind.SCADA if cand.role is Role.RELAY else PacketKind.PMU
+                if (gw_id, kind) not in self.flows:
                     continue
                 sink = self.nodes[self._sink(gw_id, kind)]
                 mid = self._greedy(cand.position, sink, cand.role, {cand.id})
-                if mid is None:
-                    path = (gw_id, cand.id)  # walk will stall at the candidate
-                else:
-                    path = (gw_id, cand.id, *mid, sink.id)
-                plans.append((sink.id, path))
-            for sink_id, path in plans:
+                # With no chain onward, the walk stalls at the candidate.
+                path = (gw_id, cand.id) if mid is None else (gw_id, cand.id, *mid, sink.id)
                 for _ in range(self.cfg.k_test):
                     at = self.rng_bootstrap.uniform(0.0, window)
-                    self.queue.schedule(at, self._send_test, gw_id, sink_id, path)
+                    self.queue.schedule(at, self._send_test, gw_id, sink.id, path)
 
     def _send_test(self, gw_id: int, sink_id: int, path: tuple[int, ...]) -> None:
         pkt = Packet(
@@ -550,11 +524,10 @@ class Simulation:
         self._transmit(pkt, 0)
 
     def _initial_election(self) -> None:
-        for sid in sorted(self.topo.gateway_of_substation):
-            gw_id = self.topo.gateway_of_substation[sid]
-            self._ensure_scada_route(gw_id)
-            if gw_id in self.pmu_gateways:
-                self._ensure_pmu_route(gw_id)
+        # pair_key fixes the order; a set of flows iterates by PYTHONHASHSEED.
+        for flow in self.pair_key:
+            if flow in self.flows:
+                self._route(*flow)
 
     def _start_traffic(self) -> None:
         """Measurement sensors first fire at a random offset into traffic,
@@ -627,7 +600,7 @@ class Simulation:
             packet_drops_no_route=self.packet_drops["no_route"],
             tamper_rejections=self.tamper_rejections,
             reroutes=self.reroutes,
-            retransmissions=self.retransmissions,
+            retransmissions=sum(s.retransmits for s in self.ledger.entries.values()),
             energy_consumed_j=energy_total,
             dead_relays=dead_relays,
             dead_ehrns=dead_ehrns,

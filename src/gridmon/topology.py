@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class CaseError(ValueError):
@@ -86,24 +86,11 @@ class Topology:
     nodes: list[DeployedNode]
     rs_ring: list[int]   # node ids: [main cc gateway, sinks..., backup cc gateway]
     pdc_ring: list[int]
-    gateway_of_substation: dict[int, int] = field(default_factory=dict)
-    rs_of_region: dict[int, int] = field(default_factory=dict)
-    pdc_of_region: dict[int, int] = field(default_factory=dict)
-    region_of_substation: dict[int, int] = field(default_factory=dict)
-    cc_gateways: tuple[int, int] = (0, 0)  # (main, backup) node ids
-    cc_servers: tuple[int, int] = (0, 0)
-
-    def index(self) -> None:
-        for n in self.nodes:
-            if n.role is Role.GATEWAY:
-                self.gateway_of_substation[n.substation] = n.id
-            elif n.role is Role.RS:
-                self.rs_of_region[n.region] = n.id
-            elif n.role is Role.PDC:
-                self.pdc_of_region[n.region] = n.id
-        for region in self.regions:
-            for sid in region.members:
-                self.region_of_substation[sid] = region.id
+    gateway_of_substation: dict[int, int]
+    rs_of_region: dict[int, int]
+    pdc_of_region: dict[int, int]
+    cc_gateways: tuple[int, int]  # (main, backup) node ids
+    cc_servers: tuple[int, int]
 
 
 def distance(p: tuple[float, float], q: tuple[float, float]) -> float:
@@ -409,10 +396,8 @@ def build_topology(
     for n in nodes:
         by_role.setdefault(n.role, []).append(n)
     main_gw, backup_gw = by_role[Role.CC_GATEWAY]
-    rs_ring = build_ring(main_gw, backup_gw, by_role[Role.RS])
-    pdc_ring = build_ring(main_gw, backup_gw, by_role[Role.PDC])
-
-    topo = Topology(
+    main_srv, backup_srv = by_role[Role.CC_SERVER]
+    return Topology(
         case=case,
         d_km=d_km,
         main_cc=main_cc,
@@ -420,14 +405,14 @@ def build_topology(
         regions=regions,
         pmu_buses=pmu_buses,
         nodes=nodes,
-        rs_ring=rs_ring,
-        pdc_ring=pdc_ring,
+        rs_ring=build_ring(main_gw, backup_gw, by_role[Role.RS]),
+        pdc_ring=build_ring(main_gw, backup_gw, by_role[Role.PDC]),
+        gateway_of_substation={n.substation: n.id for n in by_role[Role.GATEWAY]},
+        rs_of_region={n.region: n.id for n in by_role[Role.RS]},
+        pdc_of_region={n.region: n.id for n in by_role[Role.PDC]},
+        cc_gateways=(main_gw.id, backup_gw.id),
+        cc_servers=(main_srv.id, backup_srv.id),
     )
-    topo.cc_gateways = (main_gw.id, backup_gw.id)
-    servers = by_role[Role.CC_SERVER]
-    topo.cc_servers = (servers[0].id, servers[1].id)
-    topo.index()
-    return topo
 
 
 def export_topology(topo: Topology, path: str) -> None:

@@ -27,6 +27,7 @@ import time
 from gridmon.attacks import AttackConfig
 from gridmon.crypto import CURVES, hmac_tag, point_add, rc5_encrypt_block, rc5_key_schedule
 from gridmon.protocol import (
+    PacketKind,
     TamperRejected,
     candidate_value,
     elect_cluster_head,
@@ -271,7 +272,7 @@ def test_criterion_7_reroute_liveness(data_dir, tmp_path):
     )
     # Dry run with no adversary to learn which relay heads the cluster.
     clean = run_simulation(cfg)
-    clean_heads = {t.head for t in clean.routing.values() if t.head is not None}
+    clean_heads = {path[1] for (_, kind), path in clean.route.items() if kind is PacketKind.SCADA}
     assert len(clean_heads) == 1, f"expected one shared head, saw {clean_heads}"
     villain = clean_heads.pop()
     honest = ({10, 11} - {villain}).pop()
@@ -289,8 +290,10 @@ def test_criterion_7_reroute_liveness(data_dir, tmp_path):
     reject_lines = [l for l in trace.lines if " ev=reject " in l]
     sent, delivered = sim.trust.counts(villain)
     final_trust = sim.trust.trust_value(villain)
-    heads = {table.head for table in sim.routing.values() if table.head is not None}
-    excluded = set().union(*(t.excluded_scada for t in sim.routing.values()))
+    heads = {path[1] for (_, kind), path in sim.route.items() if kind is PacketKind.SCADA}
+    excluded = set().union(
+        *(nodes for (_, kind), nodes in sim.excluded.items() if kind is PacketKind.SCADA)
+    )
 
     ok = (
         record.reroutes >= 1

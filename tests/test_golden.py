@@ -20,6 +20,7 @@ from dataclasses import replace
 import pytest
 
 from gridmon.metrics import TraceLog
+from gridmon.protocol import PacketKind
 from gridmon.runner import run_simulation
 from gridmon.scenario import load_scenario
 
@@ -85,4 +86,6 @@ def test_golden_run(name, scenarios_dir, tmp_path):
     assert sim.metrics.as_row() == want_row
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want_sha
     if name == "starved":
-        assert any(len(rt.pmu_path) > 2 for rt in sim.routing.values())
+        assert any(
+            len(path) > 2 for (_, kind), path in sim.route.items() if kind is PacketKind.PMU
+        )

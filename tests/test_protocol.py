@@ -17,7 +17,6 @@ from gridmon.protocol import (
     Packet,
     PacketKind,
     ProtocolError,
-    RoutingTable,
     SensorReading,
     TamperRejected,
     TrustLedger,
@@ -232,7 +231,8 @@ def test_seal_rejects_sequence_numbers_and_lengths_outside_the_counter_block():
         seal(KEY_A, KEY_B, 0, bytes(8 * 2**16 + 1))
 
 
-def test_a_whole_run_never_reuses_a_counter_block_under_a_key(monkeypatch, scenarios_dir):
+@pytest.mark.parametrize("curve", ["secp256k1", "toy17"])
+def test_a_whole_run_never_reuses_a_counter_block_under_a_key(monkeypatch, scenarios_dir, curve):
     real = protocol.rc5_ctr
     sealed = set()   # (key, nonce, ciphertext) of every seal, so its open is recognised
     used = {}        # (key, counter block) -> nonce of the seal that used it
@@ -249,10 +249,9 @@ def test_a_whole_run_never_reuses_a_counter_block_under_a_key(monkeypatch, scena
 
     monkeypatch.setattr(protocol, "rc5_ctr", recording_ctr)
     # On toy17 the 19-point group leaves ieee14's 22 (gateway, kind) pairs 8
-    # distinct keys, so gateways share a key and their sequence numbers; the
-    # counter layout cannot separate those (ROADMAP item 1).  secp256k1 gives
-    # every pair its own key.
-    cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), curve="secp256k1")
+    # distinct ECDH outputs; the pairwise key binds the flow's label too, so
+    # gateways that share an output still seal under keys of their own.
+    cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), curve=curve)
     record = run_scenario(cfg)
     assert len(sealed) == record.scada_generated + record.pmu_generated > 0
     assert len(used) == 3 * len(sealed)
@@ -323,10 +322,3 @@ def test_packet_size_accounts_for_payload_and_reroute_ref():
     assert bare.size_bits() == HEADER_BYTES * 8
     rr = Packet(seq=2, src=3, dst=2, kind=PacketKind.REROUTE, ref=9)
     assert rr.size_bits() == (HEADER_BYTES + 8) * 8
-
-
-def test_routing_table_defaults_are_empty():
-    table = RoutingTable()
-    assert table.head is None and table.scada_path == ()
-    assert table.pmu_path == ()
-    assert table.excluded_scada == set() and table.excluded_pmu == set()

@@ -198,16 +198,26 @@ def test_tampering_harvester_is_rerouted_around_on_the_phasor_route(scenarios_di
     # At 12 km range gateway 3's phasor frames reach the PDC over a harvester.
     cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), range_m=12000.0)
     clean = run_simulation(cfg, seed=4)
-    paths = [rt.pmu_path for rt in clean.routing.values() if len(rt.pmu_path) > 2]
-    assert paths, "expected a phasor route over a harvester"
-    villain = paths[0][1]
+    flows = [
+        flow for flow, path in clean.route.items()
+        if flow[1] is PacketKind.PMU and len(path) > 2
+    ]
+    assert flows, "expected a phasor route over a harvester"
+    rerouted = flows[0]
+    villain = clean.route[rerouted][1]
 
     attacked = dataclasses.replace(
         cfg, attack=AttackConfig(tamper_nodes=frozenset({villain}), activation_time=1.0)
     )
     sim = run_simulation(attacked, seed=4)
     record = sim.metrics
-    assert villain in set().union(*(rt.excluded_pmu for rt in sim.routing.values()))
+    assert sim.excluded[rerouted] == {villain}
+    assert sim.route[rerouted] != clean.route[rerouted]
+    # The reroute touches its own flow only: every other flow keeps the
+    # clean run's route and excludes nothing.
+    others = set(clean.route) - {rerouted}
+    assert {f: sim.route.get(f) for f in others} == {f: clean.route[f] for f in others}
+    assert all(not nodes for f, nodes in sim.excluded.items() if f != rerouted)
     assert record.tamper_rejections == record.reroutes >= 1
     assert record.retransmissions == record.reroutes
     assert sim.ledger.summarize(PacketKind.PMU)["drops"]["rejected"] == 0
