@@ -11,8 +11,13 @@ payloads for the control-center public key.
 
 Points are affine ``(x, y)`` tuples; ``None`` is the point at infinity.
 The API stays affine, but ``scalar_mult`` works in Jacobian coordinates
-inside, with one inversion per multiplication, and multiplies the base
-point ``G`` from a fixed-base window table built once per curve.
+inside and picks one of three paths by its input:
+
+* ``G`` of any curve: a fixed-base window table built once per curve;
+* any other point on secp256k1: the GLV endomorphism splits ``k`` into two
+  ~128-bit halves whose width-5 NAF digits share one doubling chain;
+* anything else (toy17, off-curve input): left-to-right double-and-add.
+  toy17's scalars are 5 bits, where a table would cost more than it saves.
 
 RC5 key schedules are memoized per key; ``protocol.seal`` keeps RC5-CTR
 counter blocks disjoint under a key (48-bit sequence, 16-bit block index).
@@ -23,6 +28,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac as _hmac
+import itertools
 import random
 import struct
 from dataclasses import dataclass
@@ -179,11 +185,107 @@ def _g_table(curve: CurveParams) -> tuple:
     return tuple(rows)
 
 
+# secp256k1's efficiently computable endomorphism (SEC 2 v2, section 2.4.1):
+# (x, y) -> (BETA*x, y) is multiplication by LAMBDA, with BETA and LAMBDA
+# cube roots of unity mod p and mod n.  (A1, B1) and (A2, B2) are short
+# vectors of the lattice {(i, j) : i + j*LAMBDA = 0 mod n}.
+_SECP256K1 = CURVES["secp256k1"]
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+_A1 = _B2 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_NAF_WIDTH = 5
+
+
+def _glv_split(k: int) -> tuple[int, int]:
+    """(k1, k2) with k1 + k2*LAMBDA = k (mod n), each at most ~129 bits.
+
+    Subtracts from (k, 0) the lattice vector nearest to it (Hankerson,
+    Menezes and Vanstone, Algorithm 3.74); c1 and c2 are rounded quotients.
+    """
+    n = _SECP256K1.n
+    c1 = (2 * _B2 * k + n) // (2 * n)
+    c2 = (-2 * _B1 * k + n) // (2 * n)
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
+def _wnaf(k: int) -> list[int]:
+    """Width-5 NAF of k >= 0, least significant digit first.
+
+    Every digit is zero or odd with |d| < 16, any two nonzero digits are at
+    least five positions apart, and sum(d * 2**i) == k (Algorithm 3.35).
+    """
+    window = 1 << _NAF_WIDTH
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = k & (window - 1)  # k mods 2**w: the residue in [-16, 16)
+            if d >= window // 2:
+                d -= window
+            k -= d
+        digits.append(d)
+        k >>= 1
+    return digits
+
+
+def _odd_multiples(curve: CurveParams, point) -> list:
+    """Affine P, 3P, ..., 15P for a point of order n > 15.
+
+    The sums run in Jacobian coordinates from affine 2P and share one
+    inversion (Montgomery's trick), so the table costs two inversions.
+    """
+    p = curve.p
+    twice = point_add(curve, point, point)
+    jac = [(point[0], point[1], 1)]
+    for _ in range(2 ** (_NAF_WIDTH - 2) - 1):
+        jac.append(_jacobian_add_affine(curve, jac[-1], twice))
+    prefix = [1]  # prefix[i] is the product of the first i Z coordinates
+    for _, _, z in jac:
+        prefix.append(prefix[-1] * z % p)
+    inv = pow(prefix[-1], -1, p)  # 1 / (Z_0 ... Z_last)
+    out = [None] * len(jac)
+    for i in range(len(jac) - 1, -1, -1):
+        x, y, z = jac[i]
+        zinv = inv * prefix[i] % p
+        inv = inv * z % p
+        zz = zinv * zinv % p
+        out[i] = (x * zz % p, y * zz * zinv % p)
+    return out
+
+
+def _glv_mult(curve: CurveParams, k: int, point):
+    """k*P on secp256k1 for P on the curve: two interleaved width-5 NAFs."""
+    p = curve.p
+    odd = _odd_multiples(curve, point)
+    halves = []
+    for half, table in zip(_glv_split(k % curve.n), (odd, [(_BETA * x % p, y) for x, y in odd])):
+        sign = 1 if half >= 0 else -1
+        digit_point = {}
+        for j, (x, y) in enumerate(table):
+            digit_point[sign * (2 * j + 1)] = (x, y)
+            digit_point[-sign * (2 * j + 1)] = (x, p - y)
+        halves.append((_wnaf(abs(half)), digit_point))
+    (naf1, lookup1), (naf2, lookup2) = halves
+    acc = None
+    for d1, d2 in reversed(list(itertools.zip_longest(naf1, naf2, fillvalue=0))):
+        acc = _jacobian_double(curve, acc)
+        if d1:
+            acc = _jacobian_add_affine(curve, acc, lookup1[d1])
+        if d2:
+            acc = _jacobian_add_affine(curve, acc, lookup2[d2])
+    return _to_affine(curve, acc)
+
+
 def scalar_mult(curve: CurveParams, k: int, point):
     """k*P for an affine point P; negative scalars are rejected.
 
-    G is multiplied from its window table with k reduced mod n (G has order
-    n); any other point by left-to-right double-and-add.
+    G is multiplied from its window table, and any other point on
+    secp256k1 by the GLV split, both with k reduced mod n: G has order n,
+    and so does every point on secp256k1 (cofactor 1).  Every other input --
+    a toy17 point, or a point that fails ``is_on_curve`` -- goes by
+    left-to-right double-and-add on the unreduced k.
     """
     if k < 0:
         raise CryptoError("scalar must be non-negative")
@@ -194,6 +296,8 @@ def scalar_mult(curve: CurveParams, k: int, point):
         for row in _g_table(curve):
             acc = _jacobian_add_affine(curve, acc, row[k & mask])
             k >>= _WINDOW_BITS
+    elif point is not None and curve == _SECP256K1 and is_on_curve(curve, point):
+        return _glv_mult(curve, k, point)
     elif point is not None:
         for bit in bin(k)[2:]:
             acc = _jacobian_double(curve, acc)

@@ -35,7 +35,7 @@ from .metrics import (
     p95,
 )
 from .protocol import Packet, PacketKind, SensorReading, TrustLedger
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, ScenarioError
 from .topology import Role, Topology, distance
 
 _MAX_GREEDY_HOPS = 64
@@ -475,7 +475,9 @@ class Simulation:
 
     def _server_receive(self, server_id: int, pkt: Packet) -> None:
         backup = server_id == self.topo.cc_servers[1]
-        assert not backup or server_id in self.keyed, "backup server is missing the shared private key"
+        # Never true today: equal wired hops bring the backup its key after 3, any aggregate after >= 4.
+        if backup and server_id not in self.keyed:
+            raise ScenarioError("backup server got an aggregate before the shared private key")
         blob = pk_decrypt(self.curve, self.cc_keypair.private, pkt.ciphertext)
         _, _, _, readings = protocol.parse_aggregate(blob)
         self.ledger.delivered([r.id for r in readings], self.queue.now, backup=backup)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 import re
 
 import pytest
@@ -10,10 +11,14 @@ import pytest
 from gridmon.attacks import AttackConfig
 import gridmon.cli
 from gridmon.cli import main
+from gridmon.crypto import pk_encrypt
 from gridmon.metrics import AuditError, read_csv
-from gridmon.protocol import PacketKind
-from gridmon.runner import SWEEP_AXES, run_scenario, run_simulation, sweep, sweep_fieldnames
+from gridmon.protocol import Packet, PacketKind, build_aggregate
+from gridmon.runner import (
+    SWEEP_AXES, build_run_topology, run_scenario, run_simulation, sweep, sweep_fieldnames,
+)
 from gridmon.scenario import _SECTION_KEYS, ScenarioConfig, ScenarioError, load_scenario
+from gridmon.simulation import Simulation
 
 TRACE_LINE = re.compile(
     r"^t=\d+\.\d{6} ev=\w+ pkt=\d+ src=\d+ dst=\d+ kind=\w+$"
@@ -192,6 +197,22 @@ def test_sinks_hold_readings_until_the_control_center_key_arrives(
     assert (record.scada_delivered, record.pmu_delivered) == delivered
     assert record.scada_in_flight == in_flight
     assert record.pmu_in_flight == 1505 - record.pmu_delivered  # 1505 with the 30 s ring
+
+
+def test_backup_server_without_the_private_key_raises_scenario_error(mini_ini):
+    # No run reaches this today; the check must hold under python -O too.
+    cfg = load_scenario(str(mini_ini))
+    sim = Simulation(build_run_topology(cfg, cfg.seed), cfg, cfg.seed)
+    sim.keyed.clear()
+    backup_srv = sim.topo.cc_servers[1]
+    blob = build_aggregate(0, 0.0, 0.25, [])
+    sealed = pk_encrypt(sim.curve, sim.cc_keypair.public, blob, random.Random(1))
+    pkt = Packet(seq=1, src=sim.topo.cc_gateways[1], dst=backup_srv,
+                 kind=PacketKind.AGGREGATE, ciphertext=sealed)
+    with pytest.raises(ScenarioError, match="backup server"):
+        sim._server_receive(backup_srv, pkt)
+    sim.keyed.add(backup_srv)
+    sim._server_receive(backup_srv, pkt)  # keyed, the same aggregate opens
 
 
 def test_tampering_harvester_is_rerouted_around_on_the_phasor_route(scenarios_dir):
