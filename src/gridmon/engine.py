@@ -1,15 +1,20 @@
 """Deterministic discrete-event core plus radio and energy models.
 
 Events fire in (time, insertion order) so runs with equal seeds replay
-byte-identically.  Batteries follow the first-order radio model; rechargeable
-nodes regain charge lazily, computed from elapsed time at the next access,
-which keeps the event queue free of housekeeping ticks.
+byte-identically.  A plan known up front (the trust-bootstrap probes, the
+aggregation-window ticks) is fed to the heap one event at a time, under
+sequence numbers taken when it was planned, so the heap stays small and the
+firing order is the one scheduling each event at once would give.
+Batteries follow the first-order radio model; rechargeable nodes regain
+charge lazily, computed from elapsed time at the next access, which keeps
+the event queue free of housekeeping ticks.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from operator import itemgetter
 from dataclasses import dataclass, field
 
 from .topology import WIRELESS_ROLES, Role, Topology
@@ -31,13 +36,46 @@ class EventQueue:
         self.now = 0.0
         self.processed = 0
 
-    def schedule(self, fire_at: float, fn, *args) -> None:
-        if fire_at < self.now:
+    def schedule(self, fire_at: float, fn, *args, seq: int | None = None) -> None:
+        """Fire ``fn(*args)`` at ``fire_at``; ``seq`` is one ``schedule_all`` reserved."""
+        if not fire_at >= self.now:  # NaN too
             raise EngineError(f"cannot schedule at {fire_at:.6f}, clock is at {self.now:.6f}")
-        heapq.heappush(self._heap, (fire_at, self._seq, fn, args))
-        self._seq += 1
+        if seq is None:
+            seq = self._seq
+            self._seq += 1
+        heapq.heappush(self._heap, (fire_at, seq, fn, args))
+
+    def schedule_all(self, events) -> None:
+        """Schedule an iterable of ``(fire_at, fn, args)`` events as ``schedule``
+        would one by one in order: same checks now, same sequence numbers,
+        same firing order.  Only the earliest pending one sits on the heap;
+        each pushes the next when it fires.  Iterating ``events`` must not
+        schedule anything."""
+        now = self.now
+        base = self._seq
+        feed = []
+        for fire_at, fn, args in events:
+            if not fire_at >= now:
+                raise EngineError(f"cannot schedule at {fire_at:.6f}, clock is at {now:.6f}")
+            feed.append((fire_at, base + len(feed), fn, args))
+        self._seq += len(feed)
+        # A stable sort on time keeps ties in seq order; reversed, pop() takes the next.
+        feed.sort(key=itemgetter(0))
+        feed.reverse()
+        if feed:
+            self._feed_next(feed)
+
+    def _feed_next(self, feed: list) -> None:
+        fire_at, seq, fn, args = feed.pop()
+        self.schedule(fire_at, self._fire_fed, feed, fn, args, seq=seq)
+
+    def _fire_fed(self, feed: list, fn, args: tuple) -> None:
+        if feed:
+            self._feed_next(feed)
+        fn(*args)
 
     def __len__(self) -> int:
+        """Events on the heap; a feed's later events are not counted."""
         return len(self._heap)
 
     def run_all(self) -> int:
@@ -121,7 +159,8 @@ class SimNode:
         A drained node, or one that cannot cover the cost, spends what it
         has left and fails; mains-powered nodes never run out.
         """
-        self.refresh(now)
+        if self.rechargeable:
+            self.refresh(now)
         if self.battery_j <= 0.0 or self.battery_j < cost_j:
             self.consumed_j += self.battery_j
             self.battery_j = 0.0

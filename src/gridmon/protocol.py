@@ -37,7 +37,7 @@ class PacketKind(enum.Enum):
 HEADER_BYTES = 24
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     seq: int
     src: int
@@ -48,6 +48,7 @@ class Packet:
     path: tuple[int, ...] = ()
     reading_ids: tuple[int, ...] = ()   # simulation bookkeeping, not wire data
     ref: int | None = None              # reroute: id of the rejected reading
+    hops: tuple = ()                    # the path's hop table, for this packet's size
 
     def size_bits(self) -> int:
         size = HEADER_BYTES + len(self.ciphertext or b"") + len(self.tag or b"")

@@ -8,6 +8,7 @@ fall back to defaults.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -70,6 +71,12 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         if not self.case_path:
             raise ScenarioError("[case] path is required")
+        # NaN passes every range check below, and inf overflows the clock.
+        floats = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
+        for key, value in floats + [("activation_time", self.attack.activation_time)]:
+            if not math.isfinite(value):
+                section = next(sec for sec, keys in _SECTION_KEYS.items() if key in keys)
+                raise ScenarioError(f"[{section}] {key} must be finite, got {value}")
         if self.d_km <= 0:
             raise ScenarioError(f"[case] d_km must be positive, got {self.d_km}")
         if self.relays < 0 or self.ehrns < 0:

@@ -5,7 +5,8 @@ Wires topology, engine, crypto, protocol, and attacks into one seeded run:
 1. setup (attack-free): key agreement, key distribution over the optical
    rings, trust bootstrap with test traffic through every candidate node,
 2. election of cluster heads and first routes at the end of setup; each
-   (gateway, kind) flow keeps its route and its exclusions until a reroute,
+   (gateway, kind) flow keeps its route, that route's hop table and its
+   exclusions until a reroute,
 3. measured traffic for the configured duration (event-driven readings plus
    fixed-rate phasor frames), windows aggregated at the sinks and sealed to
    the control centers over the ring,
@@ -13,6 +14,13 @@ Wires topology, engine, crypto, protocol, and attacks into one seeded run:
 
 Separate named child seeds drive deployment, traffic, attacks, bootstrap
 jitter, and key generation, so e.g. attack selection never perturbs traffic.
+
+A wireless packet walks a hop table: per hop its sender, receiver, transmit
+and receive energy and latency, computed once per (path, packet size) from
+the same radio and energy model calls a hop would make.  A packet never
+changes size on its way (tampering keeps the ciphertext length), so a flow's
+table lives beside its route, each probe target's table is shared by its
+``k_test`` probes, and a reroute request builds one for its reversed path.
 """
 
 from __future__ import annotations
@@ -116,6 +124,7 @@ class Simulation:
         # bound to the flow's label so small-curve ECDH collisions stay apart.
         self.pair_key: dict[tuple[int, PacketKind], bytes] = {}
         self.route: dict[tuple[int, PacketKind], tuple[int, ...]] = {}
+        self.hops: dict[tuple[int, PacketKind], tuple] = {}  # the route's table
         self.excluded: dict[tuple[int, PacketKind], set[int]] = {}  # for good
         for sid in sorted(topo.gateway_of_substation):
             gw = topo.gateway_of_substation[sid]
@@ -153,11 +162,12 @@ class Simulation:
         return self._seq[node_id]
 
     def _trace(self, ev: str, pkt: Packet, src: int, dst: int) -> None:
-        if self.trace is not None:
-            self.trace.event(self.queue.now, ev, pkt.seq, src, dst, pkt.kind.value)
+        """Log one packet event; callers check that tracing is on."""
+        self.trace.event(self.queue.now, ev, pkt.seq, src, dst, pkt.kind.value)
 
     def _drop(self, pkt: Packet, at_src: int, at_dst: int, cause: str) -> None:
-        self._trace("drop", pkt, at_src, at_dst)
+        if self.trace is not None:
+            self._trace("drop", pkt, at_src, at_dst)
         self.packet_drops[cause] += 1
         if pkt.reading_ids:
             self.ledger.dropped(pkt.reading_ids, cause)
@@ -258,38 +268,46 @@ class Simulation:
 
     # ----- wireless walk -----
 
+    def _hop_table(self, path: tuple[int, ...], bits: int) -> tuple:
+        """Hop i of a ``bits``-bit packet along ``path``: (sender, receiver,
+        transmit J, receive J, latency s)."""
+        rx_j = self.energy.rx_cost_j(bits)
+        latency_s = self.radio.hop_latency_s(bits)
+        hops = []
+        for a, b in zip(path, path[1:]):
+            sender, receiver = self.nodes[a], self.nodes[b]
+            dist_m = distance(sender.position, receiver.position) * 1000.0
+            hops.append((sender, receiver, self.energy.tx_cost_j(bits, dist_m), rx_j, latency_s))
+        return tuple(hops)
+
     def _transmit(self, pkt: Packet, idx: int) -> None:
-        """Send hop idx -> idx+1 of ``pkt.path``, paying transmit energy at the sender."""
-        path = pkt.path
-        sender = self.nodes[path[idx]]
-        nxt = self.nodes[path[idx + 1]]
-        bits = pkt.size_bits()
-        dist_m = distance(sender.position, nxt.position) * 1000.0
-        if not sender.spend(self.energy.tx_cost_j(bits, dist_m), self.queue.now):
-            self._drop(pkt, sender.id, nxt.id, "dead_battery")
+        """Send hop ``idx`` of ``pkt.hops``, paying transmit energy at the sender."""
+        sender, receiver, tx_j, _, latency_s = pkt.hops[idx]
+        now = self.queue.now
+        if not sender.spend(tx_j, now):
+            self._drop(pkt, sender.id, receiver.id, "dead_battery")
             return
-        self._trace("send", pkt, sender.id, nxt.id)
+        if self.trace is not None:
+            self._trace("send", pkt, sender.id, receiver.id)
         # Trust counts monitoring traffic only; reroute requests are control
         # plane and earn no credit either way.
-        if nxt.wireless and pkt.kind is not PacketKind.REROUTE:
-            self.trust.record_sent(nxt.id)
-        self.queue.schedule(
-            self.queue.now + self.radio.hop_latency_s(bits), self._hop_arrive, pkt, idx + 1
-        )
+        if receiver.wireless and pkt.kind is not PacketKind.REROUTE:
+            self.trust.record_sent(receiver.id)
+        self.queue.schedule(now + latency_s, self._hop_arrive, pkt, idx + 1)
 
     def _hop_arrive(self, pkt: Packet, idx: int) -> None:
-        path = pkt.path
-        node = self.nodes[path[idx]]
-        prev = path[idx - 1]
+        """Hop ``idx - 1`` lands at ``pkt.path[idx]``, paying receive energy there."""
+        prev, node, _, rx_j, _ = pkt.hops[idx - 1]
         now = self.queue.now
-        if not node.spend(self.energy.rx_cost_j(pkt.size_bits()), now):
-            self._drop(pkt, prev, node.id, "dead_battery")
+        if not node.spend(rx_j, now):
+            self._drop(pkt, prev.id, node.id, "dead_battery")
             return
-        self._trace("recv", pkt, prev, node.id)
+        if self.trace is not None:
+            self._trace("recv", pkt, prev.id, node.id)
 
-        if idx == len(path) - 1:
+        if idx == len(pkt.hops):
             if node.id != pkt.dst:
-                self._drop(pkt, prev, node.id, "no_route")
+                self._drop(pkt, prev.id, node.id, "no_route")
                 return
             self._deliver(node, pkt)
             return
@@ -339,7 +357,8 @@ class Simulation:
     def _reject(self, sink: SimNode, pkt: Packet) -> None:
         """Tampered payload: refuse it and ask the sender to reroute."""
         self.tamper_rejections += 1
-        self._trace("reject", pkt, pkt.src, sink.id)
+        if self.trace is not None:
+            self._trace("reject", pkt, pkt.src, sink.id)
         self.ledger.dropped(pkt.reading_ids, "rejected")
         back = Packet(
             seq=self._next_seq(sink.id),
@@ -349,7 +368,9 @@ class Simulation:
             path=tuple(reversed(pkt.path)),
             ref=pkt.reading_ids[0],
         )
-        self._trace("reroute", back, sink.id, pkt.src)
+        back.hops = self._hop_table(back.path, back.size_bits())
+        if self.trace is not None:
+            self._trace("reroute", back, sink.id, pkt.src)
         self._transmit(back, 0)
 
     def _handle_reroute(self, gw_id: int, pkt: Packet) -> None:
@@ -361,6 +382,7 @@ class Simulation:
         if len(pkt.path) > 2:
             self.excluded[flow].add(pkt.path[-2])
         self.route.pop(flow, None)
+        self.hops.pop(flow, None)
         if state.retransmits < _MAX_RETRANSMITS:
             self.ledger.resent(pkt.ref)
             self._dispatch(gw_id, state.reading)
@@ -389,6 +411,11 @@ class Simulation:
             path=path,
             reading_ids=(reading.id,),
         )
+        flow = (gw_id, kind)
+        hops = self.hops.get(flow)
+        if hops is None:  # a new route; sealed readings all have one size
+            hops = self.hops[flow] = self._hop_table(path, pkt.size_bits())
+        pkt.hops = hops
         self._transmit(pkt, 0)
 
     # ----- sensing plane -----
@@ -418,7 +445,8 @@ class Simulation:
     # ----- wired walk, aggregation and the optical plane -----
 
     def _wired_send(self, pkt: Packet, route: tuple[int, ...], idx: int, latency_s: float) -> None:
-        self._trace("send", pkt, route[idx], route[idx + 1])
+        if self.trace is not None:
+            self._trace("send", pkt, route[idx], route[idx + 1])
         self.queue.schedule(
             self.queue.now + latency_s, self._wired_arrive, pkt, route, idx + 1, latency_s
         )
@@ -426,7 +454,8 @@ class Simulation:
     def _wired_arrive(self, pkt: Packet, route: tuple[int, ...], idx: int, latency_s: float) -> None:
         node_id = route[idx]
         kind = pkt.kind
-        self._trace("recv", pkt, route[idx - 1], node_id)
+        if self.trace is not None:
+            self._trace("recv", pkt, route[idx - 1], node_id)
         if kind is PacketKind.KEYDIST:
             self.keyed.add(node_id)
         if idx < len(route) - 1:
@@ -496,10 +525,13 @@ class Simulation:
         pkt = Packet(self._next_seq(main_srv), main_srv, backup_srv, PacketKind.KEYDIST)
         self._wired_send(pkt, (main_srv, main_gw, backup_gw, backup_srv), 0, latency)
 
-    def _bootstrap_trust(self) -> None:
-        """Probe every candidate with test packets; delivery feeds the trust
-        ledger before the first election."""
+    def _trust_probes(self):
+        """The trust-bootstrap plan: ``k_test`` test packets from every gateway
+        through every candidate in range, yielded as they are drawn.  Delivery
+        feeds the trust ledger before the first election."""
         window = self.cfg.setup_s * 0.5
+        bits = Packet(0, 0, 0, PacketKind.TEST).size_bits()  # probes carry no payload
+        send = self._send_test
         for sid in sorted(self.topo.gateway_of_substation):
             gw_id = self.topo.gateway_of_substation[sid]
             gw = self.nodes[gw_id]
@@ -511,17 +543,18 @@ class Simulation:
                 mid = self._greedy(cand.position, sink, cand.role, {cand.id})
                 # With no chain onward, the walk stalls at the candidate.
                 path = (gw_id, cand.id) if mid is None else (gw_id, cand.id, *mid, sink.id)
+                args = (gw_id, sink.id, path, self._hop_table(path, bits))
                 for _ in range(self.cfg.k_test):
-                    at = self.rng_bootstrap.uniform(0.0, window)
-                    self.queue.schedule(at, self._send_test, gw_id, sink.id, path)
+                    yield self.rng_bootstrap.uniform(0.0, window), send, args
 
-    def _send_test(self, gw_id: int, sink_id: int, path: tuple[int, ...]) -> None:
+    def _send_test(self, gw_id: int, sink_id: int, path: tuple[int, ...], hops: tuple) -> None:
         pkt = Packet(
             seq=self._next_seq(gw_id),
             src=gw_id,
             dst=sink_id,
             kind=PacketKind.TEST,
             path=path,
+            hops=hops,
         )
         self._transmit(pkt, 0)
 
@@ -541,24 +574,26 @@ class Simulation:
             if first < self._traffic_end:
                 self.queue.schedule(first, self._fire, sensor)
 
-    def _schedule_windows(self) -> None:
+    def _window_ticks(self):
+        """Every sink flushes its buffer at the end of each aggregation window."""
         window = self.cfg.aggregation_window_s
         horizon = self.cfg.duration_s + self.cfg.settle_s
         ticks = int(math.ceil(horizon / window)) + 1
+        flush = self._flush_sink
         for k in range(1, ticks + 1):
             at = self.cfg.setup_s + k * window
             for sink_id in self._sink_buffer:
-                self.queue.schedule(at, self._flush_sink, sink_id, at - window, at)
+                yield at, flush, (sink_id, at - window, at)
 
     # ----- run -----
 
     def run(self) -> MetricsRecord:
         self._traffic_end = self.cfg.setup_s + self.cfg.duration_s
         self._distribute_keys()
-        self._bootstrap_trust()
+        self.queue.schedule_all(self._trust_probes())
         self.queue.schedule(self.cfg.setup_s, self._initial_election)
         self._start_traffic()
-        self._schedule_windows()
+        self.queue.schedule_all(self._window_ticks())
         self.queue.run_all()
         self.metrics = self._collect()
         return self.metrics

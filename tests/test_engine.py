@@ -59,6 +59,8 @@ def test_queue_rejects_scheduling_into_the_past():
     q.run_all()
     with pytest.raises(EngineError):
         q.schedule(4.999, lambda: None)
+    with pytest.raises(EngineError):
+        q.schedule(math.nan, lambda: None)
     q.schedule(5.0, lambda: None)  # exactly "now" is allowed
 
 
@@ -85,6 +87,84 @@ def test_queue_never_runs_time_backwards(times):
         q.schedule(t, lambda t=t: seen.append(q.now))
     q.run_all()
     assert seen == sorted(seen)
+
+
+class CountingQueue(EventQueue):
+    """Counts ``schedule`` calls, as the benchmark's wrapper does."""
+
+    calls = 0
+
+    def schedule(self, *args, **kwargs):
+        self.calls += 1
+        super().schedule(*args, **kwargs)
+
+
+# Half-second steps are exact in binary, so equal times tie exactly.
+_GRID = st.integers(0, 4).map(lambda k: k * 0.5)
+
+
+@given(
+    st.lists(_GRID, max_size=4),
+    st.lists(st.tuples(_GRID, st.lists(_GRID, max_size=2)), max_size=25),
+    st.lists(_GRID, max_size=4),
+)
+def test_schedule_all_fires_as_scheduling_one_by_one(before, plan, after):
+    """Events scheduled before and after the plan, and children their handlers
+    schedule at ``now + dt`` onto the times of pending planned events, all
+    fire in the order of scheduling every event separately."""
+
+    def replay(fed):
+        q = CountingQueue()
+        log = []
+
+        def fire(label, spawn):
+            log.append((q.now, label))
+            for j, dt in enumerate(spawn):
+                q.schedule(q.now + dt, fire, (label, j), ())
+
+        for i, t in enumerate(before):
+            q.schedule(t, fire, ("before", i), ())
+        events = [(t, fire, (("plan", i), spawn)) for i, (t, spawn) in enumerate(plan)]
+        if fed:
+            q.schedule_all(events)
+        else:
+            for t, fn, args in events:
+                q.schedule(t, fn, *args)
+        for i, t in enumerate(after):
+            q.schedule(t, fire, ("after", i), ())
+        assert q.run_all() == q.processed == len(log) == q.calls
+        return log
+
+    assert replay(fed=True) == replay(fed=False)
+
+
+def test_schedule_all_takes_one_block_of_sequence_numbers():
+    q = CountingQueue()
+    fired = []
+    q.schedule(1.0, fired.append, "a")
+    q.schedule_all([(1.0, fired.append, ("b",)), (0.5, fired.append, ("x",)),
+                    (1.0, fired.append, ("c",))])
+    assert len(q) == 2  # only the earliest planned event waits on the heap
+    q.schedule(1.0, fired.append, "d")
+    q.schedule_all([])
+    q.schedule(1.0, fired.append, "e")
+    assert q.run_all() == 6 == q.calls
+    assert fired == ["x", "a", "b", "c", "d", "e"]
+
+
+def test_schedule_all_rejects_a_past_time_at_call_time():
+    q = EventQueue()
+    q.schedule(5.0, lambda: None)
+    q.run_all()
+    for bad in (4.999, math.nan):
+        with pytest.raises(EngineError):
+            q.schedule_all([(6.0, print, ()), (bad, print, ())])
+    assert len(q) == 0  # nothing from a rejected plan is scheduled
+    fired = []
+    q.schedule_all([(5.0, fired.append, ("now",))])
+    q.schedule(5.0, fired.append, "next")
+    q.run_all()
+    assert fired == ["now", "next"]
 
 
 # ===== energy model =====

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmon.attacks import AttackConfig
 import gridmon.cli
@@ -19,6 +23,9 @@ from gridmon.runner import (
 )
 from gridmon.scenario import _SECTION_KEYS, ScenarioConfig, ScenarioError, load_scenario
 from gridmon.simulation import Simulation
+from gridmon.topology import distance
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TRACE_LINE = re.compile(
     r"^t=\d+\.\d{6} ev=\w+ pkt=\d+ src=\d+ dst=\d+ kind=\w+$"
@@ -135,6 +142,25 @@ def test_scenario_error_cases(tmp_path):
             load_scenario(str(removed))
 
 
+# What each value does to an ieee14 run when validate() lets it through:
+@pytest.mark.parametrize("key, value", [
+    ("d_km", math.nan),                  # the run did not finish
+    ("setup_s", math.nan),               # ran, generating no readings
+    ("duration_s", math.nan),            # ValueError inside the run
+    ("aggregation_window_s", math.nan),  # ValueError inside the run
+    ("duration_s", math.inf),            # OverflowError inside the run
+    ("activation_time", math.nan),       # every attack silently off
+])
+def test_validate_names_a_non_finite_value(scenarios_dir, key, value):
+    cfg = load_scenario(str(scenarios_dir / "ieee14.ini"))
+    if key == "activation_time":
+        cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, activation_time=value))
+    else:
+        cfg = dataclasses.replace(cfg, **{key: value})
+    with pytest.raises(ScenarioError, match=f"{key} must be finite"):
+        cfg.validate()
+
+
 def test_every_config_field_has_exactly_one_scenario_key():
     keys = [(section, key) for section, names in _SECTION_KEYS.items() for key in names]
     assert len(keys) == len(set(keys))
@@ -243,6 +269,78 @@ def test_tampering_harvester_is_rerouted_around_on_the_phasor_route(scenarios_di
     assert record.retransmissions == record.reroutes
     assert sim.ledger.summarize(PacketKind.PMU)["drops"]["rejected"] == 0
     assert record.pmu_delivered == record.pmu_generated
+
+
+def test_hop_tables_hold_the_per_hop_model_costs(scenarios_dir, monkeypatch):
+    """Every hop walked, by probes, readings and a reroute request on the
+    reversed path, pays exactly what the radio and energy models give for
+    that packet's current size over that hop."""
+    cfg = dataclasses.replace(
+        load_scenario(str(scenarios_dir / "ieee14.ini")), range_m=12000.0, duration_s=2.0
+    )
+    clean = run_simulation(cfg, seed=4)
+    flow = next(f for f, p in clean.route.items() if f[1] is PacketKind.PMU and len(p) > 2)
+    attacked = dataclasses.replace(
+        cfg, attack=AttackConfig(tamper_nodes=frozenset({clean.route[flow][1]}), activation_time=1.0)
+    )
+    walked = []
+    transmit = Simulation._transmit
+
+    def recording_transmit(self, pkt, idx):
+        walked.append((self, pkt.kind, pkt.path, pkt.size_bits(), idx, pkt.hops[idx]))
+        transmit(self, pkt, idx)
+
+    monkeypatch.setattr(Simulation, "_transmit", recording_transmit)
+    sim = run_simulation(attacked, seed=4)
+    assert sim.metrics.reroutes >= 1
+    radio, energy = attacked.radio(), attacked.energy()
+    for walker, kind, path, bits, idx, hop in walked:
+        assert walker is sim
+        sender, receiver = sim.nodes[path[idx]], sim.nodes[path[idx + 1]]
+        dist_m = distance(sender.position, receiver.position) * 1000.0
+        want = (energy.tx_cost_j(bits, dist_m), energy.rx_cost_j(bits), radio.hop_latency_s(bits))
+        assert hop[0] is sender and hop[1] is receiver
+        assert [x.hex() for x in hop[2:]] == [x.hex() for x in want]
+    kinds = {kind for _, kind, *_ in walked}
+    assert kinds == {PacketKind.TEST, PacketKind.SCADA, PacketKind.PMU, PacketKind.REROUTE}
+    data_paths = {path for _, kind, path, *_ in walked if kind is PacketKind.PMU}
+    assert all(path[::-1] in data_paths for _, kind, path, *_ in walked if kind is PacketKind.REROUTE)
+
+
+# Timings a scenario file may set; k_test = 0 is refused.  The window stays at
+# 50 ms or more: a run schedules horizon / window flush ticks.
+_TIMING = {
+    "setup_s": st.floats(0.01, 2.0),
+    "k_test": st.integers(0, 12),
+    "aggregation_window_s": st.floats(0.05, 2.0),
+    "settle_s": st.floats(0.0, 2.0),
+    "intra_substation_latency_s": st.floats(0.0, 0.05),
+    "wired_latency_s": st.floats(0.0, 0.05),
+    "duration_s": st.floats(0.01, 2.0),
+}
+# At most one float among them set to zero or to a value validate() must refuse.
+_BAD = st.one_of(st.none(), st.tuples(
+    st.sampled_from(sorted(set(_TIMING) - {"k_test"})),
+    st.sampled_from([-0.5, 0.0, math.nan, math.inf]),
+))
+
+
+@settings(max_examples=150)
+@given(case=st.sampled_from(["line3", "ieee14"]), seed=st.integers(0, 3),
+       timing=st.fixed_dictionaries(_TIMING), bad=_BAD)
+def test_fuzzed_timing_ends_audited_or_raises_scenario_error(case, seed, timing, bad):
+    if case == "ieee14":
+        base = load_scenario(str(ROOT / "scenarios" / "ieee14.ini"))
+    else:
+        base = ScenarioConfig(case_path=str(ROOT / "tests" / "data" / "line3.case"), d_km=50.0,
+                              relays=8, ehrns=3, curve="toy17")
+    if bad is not None:
+        timing[bad[0]] = bad[1]
+    cfg = dataclasses.replace(base, **timing)
+    try:
+        run_simulation(cfg, seed)  # validates, runs and audits
+    except ScenarioError:
+        pass
 
 
 def test_sweep_emits_per_seed_rows_and_mean_rows(mini_ini):
