@@ -362,7 +362,7 @@ def _rotl(x: int, s: int) -> int:
 def rc5_key_schedule(key: bytes) -> tuple[int, ...]:
     """Expand a 16-byte (hashable) key into the 26-word round key table.
 
-    Memoized over the last 512 distinct keys: room for a 118-bus run's 214
+    Memoized over the last 512 distinct keys: room for a 118-bus run's 142
     pairwise keys beside the one-use keys of public-key seals.
     """
     if len(key) != RC5_KEY_BYTES:

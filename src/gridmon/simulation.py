@@ -5,8 +5,9 @@ Wires topology, engine, crypto, protocol, and attacks into one seeded run:
 1. setup (attack-free): key agreement, key distribution over the optical
    rings, trust bootstrap with test traffic through every candidate node,
 2. election of cluster heads and first routes at the end of setup; each
-   (gateway, kind) flow keeps its route, that route's hop table and its
-   exclusions until a reroute,
+   (gateway, kind) flow that carries readings is one ``Flow``: its pairwise
+   key, its sink, its exclusions, and its route and that route's hop table
+   until a reroute,
 3. measured traffic for the configured duration (event-driven readings plus
    fixed-rate phasor frames), windows aggregated at the sinks and sealed to
    the control centers over the ring,
@@ -28,9 +29,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from dataclasses import dataclass, field
 
 from . import protocol
-from .attacks import AttackPlan, apply_attack, tamper_bytes
+from .attacks import AttackError, apply_attack, tamper_bytes
 from .crypto import ecdh_shared, keypair_generate, pk_decrypt, pk_encrypt
 from .engine import EventQueue, NeighborIndex, SimNode, build_sim_nodes
 from .metrics import (
@@ -52,6 +54,17 @@ _MAX_RETRANSMITS = 5
 
 def child_rng(seed: int, stream: str) -> random.Random:
     return random.Random(f"{seed}:{stream}")
+
+
+@dataclass(slots=True)
+class Flow:
+    """One (gateway, kind) flow with sensors behind it."""
+
+    key: bytes  # pairwise with the sink
+    sink: SimNode
+    excluded: set[int] = field(default_factory=set)  # for good
+    path: tuple[int, ...] | None = None  # until a reroute request
+    hops: tuple | None = None  # the path's hop table
 
 
 class Simulation:
@@ -95,14 +108,17 @@ class Simulation:
         # Attack plan over the wireless population.
         wireless_ids = [n.id for n in self.nodes.values() if n.wireless]
         relay_ids = [n.id for n in self.nodes.values() if n.role is Role.RELAY]
-        self.plan: AttackPlan = apply_attack(cfg.attack, wireless_ids, relay_ids, self.rng_attack)
-
-        # Pairwise keys, control-center key pair, sink state.
-        self._setup_keys()
+        try:
+            self.plan = apply_attack(cfg.attack, wireless_ids, relay_ids, self.rng_attack)
+        except AttackError as exc:
+            raise ScenarioError(f"[attack] {exc}") from None
 
         # Sensing plane: one measurement sensor per bus, a data unit per
         # substation, a phasor sensor at each placed bus.
         self._setup_sensors()
+
+        # Control-center key pair, and a pairwise key for each sensed flow.
+        self._setup_keys()
 
         self._sink_buffer: dict[int, list[SensorReading]] = {
             nid: [] for sinks in self._sinks.values() for nid in sinks.values()
@@ -120,21 +136,23 @@ class Simulation:
         for sinks in self._sinks.values():
             for rid in sorted(sinks):
                 sink_keys[sinks[rid]] = keypair_generate(self.curve, self.rng_crypto)
-        # Each gateway shares one pairwise key with each of its region's sinks,
-        # bound to the flow's label so small-curve ECDH collisions stay apart.
-        self.pair_key: dict[tuple[int, PacketKind], bytes] = {}
-        self.route: dict[tuple[int, PacketKind], tuple[int, ...]] = {}
-        self.hops: dict[tuple[int, PacketKind], tuple] = {}  # the route's table
-        self.excluded: dict[tuple[int, PacketKind], set[int]] = {}  # for good
+        # A gateway shares one pairwise key with the sink of each kind it has
+        # sensors for, bound to the flow's label so small-curve ECDH
+        # collisions stay apart.  Every gateway draws a key pair, so later
+        # draws from the crypto stream do not depend on which flows are sensed.
+        sensed = {(route[-1], kind) for kind, route, _, _ in self.sensors}
+        self.flows: dict[tuple[int, PacketKind], Flow] = {}
         for sid in sorted(topo.gateway_of_substation):
             gw = topo.gateway_of_substation[sid]
             gw_kp = keypair_generate(self.curve, self.rng_crypto)
-            for kind in self._sinks:
-                sink_public = sink_keys[self._sink(gw, kind)].public
-                shared = ecdh_shared(self.curve, gw_kp.private, sink_public)
+            for kind, sinks in self._sinks.items():
+                if (gw, kind) not in sensed:
+                    continue
+                sink_id = sinks[self.nodes[gw].region]
+                shared = ecdh_shared(self.curve, gw_kp.private, sink_keys[sink_id].public)
                 label = f"pair:{gw}:{kind.value}:".encode()
-                self.pair_key[(gw, kind)] = hashlib.sha256(label + shared).digest()[:16]
-                self.excluded[(gw, kind)] = set()
+                key = hashlib.sha256(label + shared).digest()[:16]
+                self.flows[(gw, kind)] = Flow(key, self.nodes[sink_id])
 
     def _setup_sensors(self) -> None:
         """Number the wired sensing plane after the deployed nodes: RTUs,
@@ -153,7 +171,6 @@ class Simulation:
                 via = (rtu[sid],) if kind is PacketKind.SCADA else ()
                 self.sensors.append((kind, (next_id, *via, gateway[sid]), bus, sid))
                 next_id += 1
-        self.flows = {(route[-1], kind) for kind, route, _, _ in self.sensors}
 
     # ----- small utilities -----
 
@@ -179,15 +196,6 @@ class Simulation:
         count = len(self.index.alive_within(node.position, self.queue.now, exclude_id=node.id))
         self._cn_cache[node.id] = (self.queue.now, count)
         return count
-
-    def _sink(self, gw_id: int, kind: PacketKind) -> int:
-        """The sink that takes ``kind`` readings from this gateway's region."""
-        return self._sinks[kind][self.nodes[gw_id].region]
-
-    def _battery_pct(self, node: SimNode) -> float:
-        if math.isinf(node.battery_j):
-            return 100.0
-        return 100.0 * node.battery_j / node.capacity_j
 
     # ----- routing -----
 
@@ -223,7 +231,7 @@ class Simulation:
             pos = best.position
         return None
 
-    def _route(self, gw_id: int, kind: PacketKind) -> tuple[int, ...] | None:
+    def _route(self, gw_id: int, kind: PacketKind, flow: Flow) -> tuple[int, ...] | None:
         """The flow's stored route, or a new one stored until a reroute request.
 
         SCADA elects a head among the relays in range that the flow has not
@@ -231,13 +239,11 @@ class Simulation:
         an excluded relay never heads again but may still relay further on.
         Phasor frames walk harvesters from the gateway, avoiding all excluded.
         """
-        flow = (gw_id, kind)
-        path = self.route.get(flow)
-        if path is not None:
-            return path
+        if flow.path is not None:
+            return flow.path
         gw = self.nodes[gw_id]
-        sink = self.nodes[self._sink(gw_id, kind)]
-        excluded = self.excluded[flow]
+        sink, excluded = flow.sink, flow.excluded
+        path = None
         if kind is PacketKind.PMU:
             mid = self._greedy(gw.position, sink, Role.EHRN, excluded)
             if mid is not None:
@@ -248,7 +254,7 @@ class Simulation:
                 if cand.role is not Role.RELAY or cand.id in excluded:
                     continue
                 scores[cand.id] = protocol.candidate_value(
-                    self._battery_pct(cand),
+                    100.0 * cand.battery_j / cand.capacity_j,
                     self.trust.trust_value(cand.id),
                     self._connectivity(cand),
                 )
@@ -262,8 +268,7 @@ class Simulation:
                     path = (gw_id, head, *mid, sink.id)
                     break
                 del scores[head]
-        if path is not None:
-            self.route[flow] = path
+        flow.path = path
         return path
 
     # ----- wireless walk -----
@@ -338,10 +343,7 @@ class Simulation:
         if pkt.kind is PacketKind.REROUTE:
             self._handle_reroute(node.id, pkt)
             return
-        key = self.pair_key.get((pkt.src, pkt.kind))
-        if key is None:
-            self._drop(pkt, pkt.src, node.id, "no_route")
-            return
+        key = self.flows[(pkt.src, pkt.kind)].key
         try:
             plaintext = protocol.open_sealed(key, self.group_key, pkt.seq, pkt.ciphertext, pkt.tag)
         except protocol.TamperRejected:
@@ -377,12 +379,11 @@ class Simulation:
         """The sink rejected reading ``pkt.ref``: route around the culprit and resend."""
         self.reroutes += 1
         state = self.ledger.entries[pkt.ref]
-        flow = (gw_id, state.reading.kind)
+        flow = self.flows[(gw_id, state.reading.kind)]
         # The first relay or harvester past the gateway takes the blame.
         if len(pkt.path) > 2:
-            self.excluded[flow].add(pkt.path[-2])
-        self.route.pop(flow, None)
-        self.hops.pop(flow, None)
+            flow.excluded.add(pkt.path[-2])
+        flow.path = flow.hops = None
         if state.retransmits < _MAX_RETRANSMITS:
             self.ledger.resent(pkt.ref)
             self._dispatch(gw_id, state.reading)
@@ -391,15 +392,15 @@ class Simulation:
 
     def _dispatch(self, gw_id: int, reading: SensorReading) -> None:
         kind = reading.kind
-        path = self._route(gw_id, kind)
+        flow = self.flows[(gw_id, kind)]
+        path = self._route(gw_id, kind, flow)
         seq = self._next_seq(gw_id)
         if path is None:
-            sink = self._sink(gw_id, kind)
-            doomed = Packet(seq, gw_id, sink, kind, reading_ids=(reading.id,))
-            self._drop(doomed, gw_id, sink, "no_route")
+            doomed = Packet(seq, gw_id, flow.sink.id, kind, reading_ids=(reading.id,))
+            self._drop(doomed, gw_id, flow.sink.id, "no_route")
             return
         ciphertext, tag = protocol.seal(
-            self.pair_key[(gw_id, kind)], self.group_key, seq, protocol.serialize_reading(reading)
+            flow.key, self.group_key, seq, protocol.serialize_reading(reading)
         )
         pkt = Packet(
             seq=seq,
@@ -411,11 +412,9 @@ class Simulation:
             path=path,
             reading_ids=(reading.id,),
         )
-        flow = (gw_id, kind)
-        hops = self.hops.get(flow)
-        if hops is None:  # a new route; sealed readings all have one size
-            hops = self.hops[flow] = self._hop_table(path, pkt.size_bits())
-        pkt.hops = hops
+        if flow.hops is None:  # a new route; sealed readings all have one size
+            flow.hops = self._hop_table(path, pkt.size_bits())
+        pkt.hops = flow.hops
         self._transmit(pkt, 0)
 
     # ----- sensing plane -----
@@ -537,9 +536,10 @@ class Simulation:
             gw = self.nodes[gw_id]
             for cand in self.index.alive_within(gw.position, 0.0):
                 kind = PacketKind.SCADA if cand.role is Role.RELAY else PacketKind.PMU
-                if (gw_id, kind) not in self.flows:
+                flow = self.flows.get((gw_id, kind))
+                if flow is None:
                     continue
-                sink = self.nodes[self._sink(gw_id, kind)]
+                sink = flow.sink
                 mid = self._greedy(cand.position, sink, cand.role, {cand.id})
                 # With no chain onward, the walk stalls at the candidate.
                 path = (gw_id, cand.id) if mid is None else (gw_id, cand.id, *mid, sink.id)
@@ -559,10 +559,8 @@ class Simulation:
         self._transmit(pkt, 0)
 
     def _initial_election(self) -> None:
-        # pair_key fixes the order; a set of flows iterates by PYTHONHASHSEED.
-        for flow in self.pair_key:
-            if flow in self.flows:
-                self._route(*flow)
+        for (gw_id, kind), flow in self.flows.items():
+            self._route(gw_id, kind, flow)
 
     def _start_traffic(self) -> None:
         """Measurement sensors first fire at a random offset into traffic,

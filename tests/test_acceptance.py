@@ -272,7 +272,10 @@ def test_criterion_7_reroute_liveness(data_dir, tmp_path):
     )
     # Dry run with no adversary to learn which relay heads the cluster.
     clean = run_simulation(cfg)
-    clean_heads = {path[1] for (_, kind), path in clean.route.items() if kind is PacketKind.SCADA}
+    clean_heads = {
+        flow.path[1] for (_, kind), flow in clean.flows.items()
+        if kind is PacketKind.SCADA and flow.path is not None
+    }
     assert len(clean_heads) == 1, f"expected one shared head, saw {clean_heads}"
     villain = clean_heads.pop()
     honest = ({10, 11} - {villain}).pop()
@@ -290,9 +293,12 @@ def test_criterion_7_reroute_liveness(data_dir, tmp_path):
     reject_lines = [l for l in trace.lines if " ev=reject " in l]
     sent, delivered = sim.trust.counts(villain)
     final_trust = sim.trust.trust_value(villain)
-    heads = {path[1] for (_, kind), path in sim.route.items() if kind is PacketKind.SCADA}
+    heads = {
+        flow.path[1] for (_, kind), flow in sim.flows.items()
+        if kind is PacketKind.SCADA and flow.path is not None
+    }
     excluded = set().union(
-        *(nodes for (_, kind), nodes in sim.excluded.items() if kind is PacketKind.SCADA)
+        *(flow.excluded for (_, kind), flow in sim.flows.items() if kind is PacketKind.SCADA)
     )
 
     ok = (

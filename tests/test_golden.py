@@ -87,5 +87,6 @@ def test_golden_run(name, scenarios_dir, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want_sha
     if name == "starved":
         assert any(
-            len(path) > 2 for (_, kind), path in sim.route.items() if kind is PacketKind.PMU
+            len(flow.path or ()) > 2 for (_, kind), flow in sim.flows.items()
+            if kind is PacketKind.PMU
         )

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from gridmon.attacks import AttackConfig
 import gridmon.cli
+import gridmon.simulation
 from gridmon.cli import main
 from gridmon.crypto import pk_encrypt
-from gridmon.metrics import AuditError, read_csv
+from gridmon.metrics import AuditError, TraceLog, read_csv
 from gridmon.protocol import Packet, PacketKind, build_aggregate
 from gridmon.runner import (
     SWEEP_AXES, build_run_topology, run_scenario, run_simulation, sweep, sweep_fieldnames,
@@ -241,30 +242,83 @@ def test_backup_server_without_the_private_key_raises_scenario_error(mini_ini):
     sim._server_receive(backup_srv, pkt)  # keyed, the same aggregate opens
 
 
+@pytest.mark.parametrize("grayhole, message", [
+    (((22, 1.5),), "grayhole probability 1.5 for node 22"),  # relay 22
+    (((5, 1.5),), "non-wireless node 5"),                     # a bus node
+])
+def test_attack_the_deployment_cannot_take_is_a_scenario_error(scenarios_dir, grayhole, message):
+    cfg = load_scenario(str(scenarios_dir / "ieee14.ini"))
+    cfg = dataclasses.replace(cfg, attack=AttackConfig(grayhole=grayhole)).validate()
+    with pytest.raises(ScenarioError, match=rf"^\[attack\] .*{message}"):
+        run_simulation(cfg)
+
+
+def test_one_ecdh_per_sensed_flow(scenarios_dir, monkeypatch):
+    calls = []
+    ecdh = gridmon.simulation.ecdh_shared
+
+    def counting_ecdh(*args):
+        calls.append(args)
+        return ecdh(*args)
+
+    monkeypatch.setattr(gridmon.simulation, "ecdh_shared", counting_ecdh)
+    cfg = load_scenario(str(scenarios_dir / "ieee14.ini"))
+    sim = Simulation(build_run_topology(cfg, cfg.seed), cfg, cfg.seed)
+    sensed = {(route[-1], kind) for kind, route, _, _ in sim.sensors}
+    assert set(sim.flows) == sensed
+    assert len(calls) == len(sensed) == 14
+
+
+@pytest.mark.parametrize("p", [1.0, 0.0])
+def test_grayhole_head_drops_what_it_forwards(scenarios_dir, p):
+    cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), duration_s=4.0)
+    clean = run_simulation(cfg)
+    head = next(
+        flow.path[1] for (_, kind), flow in clean.flows.items()
+        if kind is PacketKind.SCADA and flow.path is not None
+    )
+    # Active from the election on, so the trust bootstrap and the heads match the clean run.
+    attacked = dataclasses.replace(
+        cfg, attack=AttackConfig(grayhole=((head, p),), activation_time=cfg.setup_s)
+    )
+    trace = TraceLog()
+    sim = run_simulation(attacked, trace=trace)
+    if p == 0.0:
+        assert sim.metrics.as_row() == clean.metrics.as_row()
+        return
+    active = [l for l in trace.lines if float(l.split()[0][2:]) >= cfg.setup_s]
+    received = [l for l in active if " ev=recv " in l and f" dst={head} " in l]
+    dropped = [l for l in active if " ev=drop " in l and f" src={head} " in l]
+    assert received and all(l.endswith(" kind=scada") for l in received)
+    # Every packet the head received it dropped, and only those were lost to it.
+    assert len(dropped) == len(received)
+    assert sim.packet_drops["grayhole"] == len(received)
+    assert sim.ledger.summarize(PacketKind.SCADA)["drops"]["grayhole"] == len(received)
+    assert sim.metrics.scada_dropped_grayhole == len(received)
+
+
 def test_tampering_harvester_is_rerouted_around_on_the_phasor_route(scenarios_dir):
     # At 12 km range gateway 3's phasor frames reach the PDC over a harvester.
     cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), range_m=12000.0)
     clean = run_simulation(cfg, seed=4)
-    flows = [
-        flow for flow, path in clean.route.items()
-        if flow[1] is PacketKind.PMU and len(path) > 2
-    ]
+    route = {f: flow.path for f, flow in clean.flows.items() if flow.path is not None}
+    flows = [f for f, path in route.items() if f[1] is PacketKind.PMU and len(path) > 2]
     assert flows, "expected a phasor route over a harvester"
     rerouted = flows[0]
-    villain = clean.route[rerouted][1]
+    villain = route[rerouted][1]
 
     attacked = dataclasses.replace(
         cfg, attack=AttackConfig(tamper_nodes=frozenset({villain}), activation_time=1.0)
     )
     sim = run_simulation(attacked, seed=4)
     record = sim.metrics
-    assert sim.excluded[rerouted] == {villain}
-    assert sim.route[rerouted] != clean.route[rerouted]
+    assert sim.flows[rerouted].excluded == {villain}
+    assert sim.flows[rerouted].path not in (None, route[rerouted])
     # The reroute touches its own flow only: every other flow keeps the
     # clean run's route and excludes nothing.
-    others = set(clean.route) - {rerouted}
-    assert {f: sim.route.get(f) for f in others} == {f: clean.route[f] for f in others}
-    assert all(not nodes for f, nodes in sim.excluded.items() if f != rerouted)
+    others = set(route) - {rerouted}
+    assert {f: sim.flows[f].path for f in others} == {f: route[f] for f in others}
+    assert all(not flow.excluded for f, flow in sim.flows.items() if f != rerouted)
     assert record.tamper_rejections == record.reroutes >= 1
     assert record.retransmissions == record.reroutes
     assert sim.ledger.summarize(PacketKind.PMU)["drops"]["rejected"] == 0
@@ -279,9 +333,12 @@ def test_hop_tables_hold_the_per_hop_model_costs(scenarios_dir, monkeypatch):
         load_scenario(str(scenarios_dir / "ieee14.ini")), range_m=12000.0, duration_s=2.0
     )
     clean = run_simulation(cfg, seed=4)
-    flow = next(f for f, p in clean.route.items() if f[1] is PacketKind.PMU and len(p) > 2)
+    phasor_path = next(
+        flow.path for (_, kind), flow in clean.flows.items()
+        if kind is PacketKind.PMU and len(flow.path or ()) > 2
+    )
     attacked = dataclasses.replace(
-        cfg, attack=AttackConfig(tamper_nodes=frozenset({clean.route[flow][1]}), activation_time=1.0)
+        cfg, attack=AttackConfig(tamper_nodes=frozenset({phasor_path[1]}), activation_time=1.0)
     )
     walked = []
     transmit = Simulation._transmit
