@@ -31,7 +31,8 @@ class AttackConfig:
     tamper_nodes: frozenset[int] = frozenset()
     compromised_count: int = 0  # relays turned blackhole, drawn at random
     tamper_count: int = 0       # relays turned tamperer, drawn at random
-    activation_time: float = 0.0
+    # The scenario's validate() reads this bound.
+    activation_time: float = field(default=0.0, metadata={"bound": (">=", 0.0)})
 
 
 @dataclass

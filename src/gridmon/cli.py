@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import random
 import sys
 
 from .crypto import CryptoError
@@ -21,6 +20,7 @@ from .engine import EngineError
 from .metrics import AuditError, export_csv
 from .runner import SWEEP_AXES, run_scenario, sweep, sweep_fieldnames
 from .scenario import ScenarioError, load_scenario
+from .simulation import child_rng
 from .topology import CaseError, build_topology, distance, export_topology, load_power_case
 
 _INPUT_ERRORS = (ScenarioError, CaseError, CryptoError, EngineError, OSError, ValueError)
@@ -97,8 +97,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_topology(args) -> int:
     case = load_power_case(args.case)
     d_km = args.d_km if args.d_km is not None else _default_d_km(case)
-    topo = build_topology(case, d_km, args.relays, args.ehrns,
-                          random.Random(f"{args.seed}:deploy"))
+    topo = build_topology(case, d_km, args.relays, args.ehrns, child_rng(args.seed, "deploy"))
     export_topology(topo, args.out)
     print(f"case={case.name} substations={len(case.substations)} "
           f"regions={len(topo.regions)} pmu_buses={len(topo.pmu_buses)} "

@@ -95,9 +95,9 @@ class EventQueue:
 
 @dataclass(frozen=True)
 class RadioModel:
-    range_m: float = 30000.0
-    bitrate_bps: float = 250000.0
-    mac_overhead_s: float = 0.002
+    range_m: float
+    bitrate_bps: float
+    mac_overhead_s: float
 
     def hop_latency_s(self, bits: int) -> float:
         return self.mac_overhead_s + bits / self.bitrate_bps
@@ -109,8 +109,8 @@ class RadioModel:
 
 @dataclass(frozen=True)
 class EnergyModel:
-    e_elec_j_per_bit: float = 50e-9
-    e_amp_j_per_bit_m2: float = 100e-12
+    e_elec_j_per_bit: float
+    e_amp_j_per_bit_m2: float
 
     def tx_cost_j(self, bits: int, distance_m: float) -> float:
         return self.e_elec_j_per_bit * bits + self.e_amp_j_per_bit_m2 * bits * distance_m**2
@@ -211,8 +211,6 @@ class NeighborIndex:
         for node in nodes.values():
             if node.wireless:
                 self._cells.setdefault(self._cell(node.position), []).append(node)
-        for bucket in self._cells.values():
-            bucket.sort(key=lambda n: n.id)
 
     def _cell(self, pos: tuple[float, float]) -> tuple[int, int]:
         return (int(math.floor(pos[0] / self.cell_km)), int(math.floor(pos[1] / self.cell_km)))

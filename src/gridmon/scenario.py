@@ -2,15 +2,17 @@
 
 Every knob a run needs lives here; scenario files override only what they
 care about.  Unknown sections or keys are errors so typos cannot silently
-fall back to defaults.
+fall back to defaults.  Each field declares its section and the lower bound
+``validate()`` holds it to.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import operator
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .attacks import AttackConfig
 from .crypto import CURVES, CurveParams
@@ -21,41 +23,45 @@ class ScenarioError(ValueError):
     pass
 
 
+def _key(section: str, default=MISSING, *, ge=None, gt=None, key=None, default_factory=MISSING):
+    """A field read from ``[section] key``, ``key`` being the field name unless given.
+    ``validate()`` refuses a value below ``ge``, or at or below ``gt``."""
+    bound = (">=", ge) if ge is not None else (">", gt) if gt is not None else None
+    return field(default=default, default_factory=default_factory,
+                 metadata={"section": section, "key": key, "bound": bound})
+
+
+_HOLDS = {">=": operator.ge, ">": operator.gt}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    # [case]
-    case_path: str = ""
-    d_km: float = 35.0
-    # [deploy]
-    relays: int = 150
-    ehrns: int = 60
-    # [radio]
-    range_m: float = 30000.0
-    bitrate_bps: float = 250000.0
-    mac_overhead_s: float = 0.002
-    # [energy]
-    e_elec_j_per_bit: float = 50e-9
-    e_amp_j_per_bit_m2: float = 1e-13
-    relay_battery_j: float = 100.0
-    ehrn_capacity_j: float = 50.0
-    ehrn_recharge_w: float = 5.0
-    # [crypto]
-    curve: str = "secp256k1"
-    # [protocol]
-    k_test: int = 20
-    aggregation_window_s: float = 1.0
-    pmu_rate_hz: float = 30.0
-    scada_interval_s: float = 2.0
-    setup_s: float = 1.0
-    settle_s: float = 2.0
-    intra_substation_latency_s: float = 0.002
-    wired_latency_s: float = 0.001
-    # [attack]
-    attack: AttackConfig = field(default_factory=AttackConfig)
-    # [run]
-    duration_s: float = 30.0
-    seed: int = 1
-    name: str = "scenario"
+    case_path: str = _key("case", "", key="path")
+    d_km: float = _key("case", 35.0, gt=0.0)
+    relays: int = _key("deploy", 150, ge=0)
+    ehrns: int = _key("deploy", 60, ge=0)
+    range_m: float = _key("radio", 30000.0, gt=0.0)
+    bitrate_bps: float = _key("radio", 250000.0, gt=0.0)
+    mac_overhead_s: float = _key("radio", 0.002, ge=0.0)
+    e_elec_j_per_bit: float = _key("energy", 50e-9, ge=0.0)
+    e_amp_j_per_bit_m2: float = _key("energy", 1e-13, ge=0.0)
+    relay_battery_j: float = _key("energy", 100.0, gt=0.0)
+    ehrn_capacity_j: float = _key("energy", 50.0, gt=0.0)
+    ehrn_recharge_w: float = _key("energy", 5.0, ge=0.0)
+    curve: str = _key("crypto", "secp256k1")
+    k_test: int = _key("protocol", 20, ge=1)
+    # The floor bounds the window plan: one flush per window per sink.
+    aggregation_window_s: float = _key("protocol", 1.0, ge=0.01)
+    pmu_rate_hz: float = _key("protocol", 30.0, gt=0.0)
+    scada_interval_s: float = _key("protocol", 2.0, gt=0.0)
+    setup_s: float = _key("protocol", 1.0, gt=0.0)
+    settle_s: float = _key("protocol", 2.0, ge=0.0)
+    intra_substation_latency_s: float = _key("protocol", 0.002, ge=0.0)
+    wired_latency_s: float = _key("protocol", 0.001, ge=0.0)
+    attack: AttackConfig = _key("attack", default_factory=AttackConfig)
+    duration_s: float = _key("run", 30.0, gt=0.0)
+    seed: int = _key("run", 1)
+    name: str = _key("run", "scenario")
 
     def radio(self) -> RadioModel:
         return RadioModel(self.range_m, self.bitrate_bps, self.mac_overhead_s)
@@ -71,63 +77,28 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         if not self.case_path:
             raise ScenarioError("[case] path is required")
-        # NaN passes every range check below, and inf overflows the clock.
-        floats = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
-        for key, value in floats + [("activation_time", self.attack.activation_time)]:
-            if not math.isfinite(value):
-                section = next(sec for sec, keys in _SECTION_KEYS.items() if key in keys)
+        for (section, key), f in _FIELDS.items():
+            value = getattr(self.attack if section == "attack" else self, f.name)
+            # NaN passes every bound, and inf overflows the clock.
+            if f.type == "float" and not math.isfinite(value):
                 raise ScenarioError(f"[{section}] {key} must be finite, got {value}")
-        if self.d_km <= 0:
-            raise ScenarioError(f"[case] d_km must be positive, got {self.d_km}")
-        if self.relays < 0 or self.ehrns < 0:
-            raise ScenarioError("[deploy] counts must be non-negative")
-        if self.range_m <= 0 or self.bitrate_bps <= 0 or self.mac_overhead_s < 0:
-            raise ScenarioError("[radio] parameters out of range")
-        if min(self.e_elec_j_per_bit, self.e_amp_j_per_bit_m2) < 0:
-            raise ScenarioError("[energy] coefficients must be non-negative")
-        if min(self.relay_battery_j, self.ehrn_capacity_j) <= 0 or self.ehrn_recharge_w < 0:
-            raise ScenarioError("[energy] battery parameters out of range")
-        if self.k_test < 1:
-            raise ScenarioError("[protocol] k_test must be at least 1")
-        if self.aggregation_window_s <= 0 or self.pmu_rate_hz <= 0 or self.scada_interval_s <= 0:
-            raise ScenarioError("[protocol] rates and windows must be positive")
-        if self.setup_s <= 0 or self.settle_s < 0:
-            raise ScenarioError("[protocol] timing parameters out of range")
-        if self.intra_substation_latency_s < 0 or self.wired_latency_s < 0:
-            raise ScenarioError("[protocol] latencies must be non-negative")
-        if self.duration_s <= 0:
-            raise ScenarioError(f"[run] duration_s must be positive, got {self.duration_s}")
-        if self.attack.activation_time < 0:
-            raise ScenarioError("[attack] activation_time must be non-negative")
+            bound = f.metadata.get("bound")
+            if bound and not _HOLDS[bound[0]](value, bound[1]):
+                raise ScenarioError(f"[{section}] {key} must be {bound[0]} {bound[1]}, got {value}")
         self.curve_obj()
         return self
 
 
-_SECTION_KEYS = {
-    "case": {"path", "d_km"},
-    "deploy": {"relays", "ehrns"},
-    "radio": {"range_m", "bitrate_bps", "mac_overhead_s"},
-    "energy": {
-        "e_elec_j_per_bit", "e_amp_j_per_bit_m2",
-        "relay_battery_j", "ehrn_capacity_j", "ehrn_recharge_w",
-    },
-    "crypto": {"curve"},
-    "protocol": {
-        "k_test", "aggregation_window_s", "pmu_rate_hz", "scada_interval_s",
-        "setup_s", "settle_s", "intra_substation_latency_s", "wired_latency_s",
-    },
-    "attack": {
-        "compromised_count", "tamper_count", "blackhole_nodes",
-        "grayhole", "tamper_nodes", "activation_time",
-    },
-    "run": {"duration_s", "seed", "name"},
+# (section, key) -> field, in field order; the [attack] keys are AttackConfig's fields.
+_FIELDS = {
+    (f.metadata["section"], g.metadata.get("key") or g.name): g
+    for f in fields(ScenarioConfig)
+    for g in (fields(AttackConfig) if f.name == "attack" else (f,))
 }
+_SECTION_KEYS = {section: {k for s, k in _FIELDS if s == section} for section, _ in _FIELDS}
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
-
-def _convert(key: str, raw: str):
-    kind = _FIELD_TYPES.get(key, "str")
+def _convert(label: str, raw: str, kind: str):
     try:
         if kind == "int":
             return int(raw)
@@ -135,35 +106,31 @@ def _convert(key: str, raw: str):
             return float(raw)
         return raw
     except ValueError:
-        raise ScenarioError(f"bad value {raw!r} for {key}") from None
+        raise ScenarioError(f"{label} must be {kind}, got {raw!r}") from None
 
 
 def _parse_attack(section) -> AttackConfig:
-    def ids(key):
-        raw = section.get(key, "")
-        try:
-            return frozenset(int(tok) for tok in raw.split())
-        except ValueError:
-            raise ScenarioError(f"[attack] {key} must be node ids, got {raw!r}") from None
-
-    grayhole = []
-    for tok in section.get("grayhole", "").split():
-        try:
-            nid, prob = tok.split(":")
-            grayhole.append((int(nid), float(prob)))
-        except ValueError:
-            raise ScenarioError(f"[attack] grayhole entries are id:prob, got {tok!r}") from None
-    try:
-        return AttackConfig(
-            blackhole_nodes=ids("blackhole_nodes"),
-            grayhole=tuple(grayhole),
-            tamper_nodes=ids("tamper_nodes"),
-            compromised_count=int(section.get("compromised_count", 0)),
-            tamper_count=int(section.get("tamper_count", 0)),
-            activation_time=float(section.get("activation_time", 0.0)),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"[attack] {exc}") from None
+    """Only the keys given; ``AttackConfig`` holds the defaults."""
+    values = {}
+    for key in section:
+        raw, kind = section[key], _FIELDS["attack", key].type
+        if key == "grayhole":
+            pairs = []
+            for tok in raw.split():
+                try:
+                    nid, prob = tok.split(":")
+                    pairs.append((int(nid), float(prob)))
+                except ValueError:
+                    raise ScenarioError(f"[attack] grayhole entries are id:prob, got {tok!r}") from None
+            values[key] = tuple(pairs)
+        elif kind == "frozenset[int]":
+            try:
+                values[key] = frozenset(int(tok) for tok in raw.split())
+            except ValueError:
+                raise ScenarioError(f"[attack] {key} must be node ids, got {raw!r}") from None
+        else:
+            values[key] = _convert(f"[attack] {key}", raw, kind)
+    return AttackConfig(**values)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -188,8 +155,8 @@ def load_scenario(path: str) -> ScenarioConfig:
             values["attack"] = _parse_attack(parser[section])
             continue
         for key in parser[section]:
-            attr = "case_path" if (section, key) == ("case", "path") else key
-            values[attr] = _convert(attr, parser[section][key])
+            f = _FIELDS[section, key]
+            values[f.name] = _convert(f"[{section}] {key}", parser[section][key], f.type)
 
     cfg = replace(ScenarioConfig(), **values)
     if cfg.case_path and not os.path.isabs(cfg.case_path):

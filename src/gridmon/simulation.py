@@ -199,17 +199,18 @@ class Simulation:
 
     # ----- routing -----
 
-    def _greedy(self, start_pos, target: SimNode, role: Role, excluded: set[int]) -> list[int] | None:
-        """Greedy geographic chain of ``role`` nodes toward ``target``.
+    def _greedy(self, start_pos, target: SimNode, role: Role, excluded=frozenset()) -> list[int] | None:
+        """Greedy geographic chain of ``role`` nodes toward ``target``, avoiding ``excluded``.
 
         Returns intermediate node ids (possibly empty if the target is in
-        range), or None when progress stalls.
+        range), or None when progress stalls.  Every step strictly cuts the
+        distance to the target, so no node on the chain, nor one at the start,
+        can be picked twice.
         """
         now = self.queue.now
         range_km = self.radio.range_km
         pos = start_pos
         hops: list[int] = []
-        seen: set[int] = set(excluded)
         for _ in range(_MAX_GREEDY_HOPS):
             here = distance(pos, target.position)
             if here <= range_km:
@@ -217,7 +218,7 @@ class Simulation:
             best = None
             best_key = None
             for cand in self.index.alive_within(pos, now):
-                if cand.role is not role or cand.id in seen:
+                if cand.role is not role or cand.id in excluded:
                     continue
                 d = distance(cand.position, target.position)
                 if d < here:
@@ -227,7 +228,6 @@ class Simulation:
             if best is None:
                 return None
             hops.append(best.id)
-            seen.add(best.id)
             pos = best.position
         return None
 
@@ -235,8 +235,8 @@ class Simulation:
         """The flow's stored route, or a new one stored until a reroute request.
 
         SCADA elects a head among the relays in range that the flow has not
-        excluded, then walks relays greedily from it excluding only the head:
-        an excluded relay never heads again but may still relay further on.
+        excluded, then walks relays greedily from it excluding nothing: an
+        excluded relay never heads again but may still relay further on.
         Phasor frames walk harvesters from the gateway, avoiding all excluded.
         """
         if flow.path is not None:
@@ -263,7 +263,7 @@ class Simulation:
                 head = protocol.elect_cluster_head(scores)
                 if head is None:
                     break
-                mid = self._greedy(self.nodes[head].position, sink, Role.RELAY, {head})
+                mid = self._greedy(self.nodes[head].position, sink, Role.RELAY)
                 if mid is not None:
                     path = (gw_id, head, *mid, sink.id)
                     break
@@ -540,7 +540,7 @@ class Simulation:
                 if flow is None:
                     continue
                 sink = flow.sink
-                mid = self._greedy(cand.position, sink, cand.role, {cand.id})
+                mid = self._greedy(cand.position, sink, cand.role)
                 # With no chain onward, the walk stalls at the candidate.
                 path = (gw_id, cand.id) if mid is None else (gw_id, cand.id, *mid, sink.id)
                 args = (gw_id, sink.id, path, self._hop_table(path, bits))

@@ -171,7 +171,7 @@ def test_schedule_all_rejects_a_past_time_at_call_time():
 
 
 def test_radio_transmit_cost_classic_constants():
-    model = EnergyModel()  # 50 nJ/bit electronics, 100 pJ/bit/m^2 amplifier
+    model = EnergyModel(50e-9, 100e-12)  # 50 nJ/bit electronics, 100 pJ/bit/m^2 amplifier
     assert model.tx_cost_j(1000, 100.0) == pytest.approx(1.05e-3)
     assert model.rx_cost_j(1000) == pytest.approx(5.0e-5)
     assert model.tx_cost_j(0, 500.0) == 0.0
@@ -182,7 +182,7 @@ def test_radio_transmit_cost_classic_constants():
 
 def test_spend_shortfall_drains_to_zero():
     node = relay(1, battery=1e-3)
-    assert not node.spend(EnergyModel().tx_cost_j(1000, 100.0), now=0.0)  # 1.05e-3 > 1e-3
+    assert not node.spend(EnergyModel(50e-9, 100e-12).tx_cost_j(1000, 100.0), now=0.0)  # 1.05e-3 > 1e-3
     assert node.battery_j == 0.0
     assert node.consumed_j == 1e-3  # the remainder is booked as consumed
     assert not node.alive(0.0)
@@ -190,7 +190,7 @@ def test_spend_shortfall_drains_to_zero():
 
 def test_spend_exact_bookkeeping():
     node = relay(1, battery=1.0)
-    model = EnergyModel()
+    model = EnergyModel(50e-9, 100e-12)
     assert node.spend(model.tx_cost_j(1000, 100.0), now=0.0)
     assert node.spend(model.tx_cost_j(2000, 50.0), now=0.0)
     expected = 1.05e-3 + (50e-9 * 2000 + 100e-12 * 2000 * 2500)
@@ -252,7 +252,7 @@ def test_harvester_battery_stays_in_range(start, instants):
 
 
 def test_alive_within_boundary_inclusive_and_sorted():
-    radio = RadioModel(range_m=10_000.0)  # 10 km
+    radio = RadioModel(range_m=10_000.0, bitrate_bps=250_000.0, mac_overhead_s=0.002)  # 10 km
     nodes = {
         n.id: n
         for n in [
@@ -268,7 +268,7 @@ def test_alive_within_boundary_inclusive_and_sorted():
 
 
 def test_alive_within_excludes_requested_and_dead():
-    radio = RadioModel(range_m=10_000.0)
+    radio = RadioModel(range_m=10_000.0, bitrate_bps=250_000.0, mac_overhead_s=0.002)
     dead = relay(2, (1.0, 0.0), battery=0.0)
     nodes = {n.id: n for n in [relay(1, (0.0, 0.0)), dead, relay(3, (2.0, 0.0))]}
     idx = NeighborIndex(nodes, radio)
@@ -276,7 +276,7 @@ def test_alive_within_excludes_requested_and_dead():
 
 
 def test_alive_within_ignores_wired_roles():
-    radio = RadioModel(range_m=10_000.0)
+    radio = RadioModel(range_m=10_000.0, bitrate_bps=250_000.0, mac_overhead_s=0.002)
     nodes = {
         1: relay(1, (0.0, 0.0)),
         2: SimNode(id=2, role=Role.GATEWAY, position=(1.0, 0.0)),
@@ -287,7 +287,7 @@ def test_alive_within_ignores_wired_roles():
 
 
 def test_revived_harvester_reappears_in_queries():
-    radio = RadioModel(range_m=10_000.0)
+    radio = RadioModel(range_m=10_000.0, bitrate_bps=250_000.0, mac_overhead_s=0.002)
     node = harvester(4, (1.0, 1.0), battery=0.0, watts=0.1)
     idx = NeighborIndex({4: node}, radio)
     assert idx.alive_within((0.0, 0.0), now=0.0) == []
@@ -305,7 +305,9 @@ def test_neighbor_index_matches_linear_scan(data):
     )
     range_km = data.draw(st.floats(1, 120, allow_nan=False))
     nodes = {i + 1: relay(i + 1, pos) for i, pos in enumerate(coords)}
-    idx = NeighborIndex(nodes, RadioModel(range_m=range_km * 1000.0))
+    idx = NeighborIndex(
+        nodes, RadioModel(range_m=range_km * 1000.0, bitrate_bps=250_000.0, mac_overhead_s=0.002)
+    )
     query = data.draw(st.tuples(st.floats(0, 200, allow_nan=False), st.floats(0, 200, allow_nan=False)))
     got = [nd.id for nd in idx.alive_within(query, now=0.0)]
     want = sorted(

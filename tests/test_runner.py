@@ -162,6 +162,69 @@ def test_validate_names_a_non_finite_value(scenarios_dir, key, value):
         cfg.validate()
 
 
+def _with_key(cfg, key, value):
+    if key == "activation_time":
+        return dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, activation_time=value))
+    return dataclasses.replace(cfg, **{key: value})
+
+
+# Every lower bound validate() holds a scenario key to: (section, key, op, bound).
+_BOUNDS = [
+    ("case", "d_km", ">", 0.0),
+    ("deploy", "relays", ">=", 0),
+    ("deploy", "ehrns", ">=", 0),
+    ("radio", "range_m", ">", 0.0),
+    ("radio", "bitrate_bps", ">", 0.0),
+    ("radio", "mac_overhead_s", ">=", 0.0),
+    ("energy", "e_elec_j_per_bit", ">=", 0.0),
+    ("energy", "e_amp_j_per_bit_m2", ">=", 0.0),
+    ("energy", "relay_battery_j", ">", 0.0),
+    ("energy", "ehrn_capacity_j", ">", 0.0),
+    ("energy", "ehrn_recharge_w", ">=", 0.0),
+    ("protocol", "k_test", ">=", 1),
+    ("protocol", "aggregation_window_s", ">=", 0.01),
+    ("protocol", "pmu_rate_hz", ">", 0.0),
+    ("protocol", "scada_interval_s", ">", 0.0),
+    ("protocol", "setup_s", ">", 0.0),
+    ("protocol", "settle_s", ">=", 0.0),
+    ("protocol", "intra_substation_latency_s", ">=", 0.0),
+    ("protocol", "wired_latency_s", ">=", 0.0),
+    ("attack", "activation_time", ">=", 0.0),
+    ("run", "duration_s", ">", 0.0),
+]
+
+
+@pytest.mark.parametrize("section, key, op, bound", _BOUNDS, ids=[f"{s}-{k}" for s, k, _, _ in _BOUNDS])
+def test_validate_holds_each_key_to_its_bound_and_names_it(scenarios_dir, section, key, op, bound):
+    cfg = load_scenario(str(scenarios_dir / "ieee14.ini"))
+    if isinstance(bound, int):
+        below, above = bound - 1, bound + 1
+    else:
+        below, above = math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)
+    past, inside = (bound, above) if op == ">" else (below, bound)
+    with pytest.raises(ScenarioError, match=rf"^\[{section}\] {key} must be "):
+        _with_key(cfg, key, past).validate()
+    _with_key(cfg, key, inside).validate()
+
+
+def test_the_bound_table_lists_every_declared_bound():
+    declared = [
+        (f.name, f.metadata["bound"])
+        for f in dataclasses.fields(ScenarioConfig) + dataclasses.fields(AttackConfig)
+        if f.metadata.get("bound")
+    ]
+    assert sorted(declared) == sorted((key, (op, bound)) for _, key, op, bound in _BOUNDS)
+
+
+@pytest.mark.parametrize("window", [1e-9, 0.005])
+def test_validate_refuses_a_window_under_10_ms(scenarios_dir, window):
+    # At 1e-9 s an ieee14 run would plan ~7e10 flushes; it is never run here.
+    cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), aggregation_window_s=window)
+    with pytest.raises(ScenarioError, match=rf"^\[protocol\] aggregation_window_s must be >= 0\.01, got {window}$"):
+        cfg.validate()
+    dataclasses.replace(cfg, aggregation_window_s=0.01).validate()
+
+
 def test_every_config_field_has_exactly_one_scenario_key():
     keys = [(section, key) for section, names in _SECTION_KEYS.items() for key in names]
     assert len(keys) == len(set(keys))
