@@ -31,7 +31,6 @@ from .protocol import (
     ProtocolError,
     SensorReading,
     TamperRejected,
-    TrustLedger,
     candidate_value,
     elect_cluster_head,
     trust_value,

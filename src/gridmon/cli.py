@@ -3,7 +3,7 @@
 Subcommands:
   run       one seeded scenario run; metrics to stdout and optionally CSV
   sweep     repeat a scenario along an attack axis over several seeds
-  topology  build and export the communication graph for a case file
+  topology  export the communication graph a run of the scenario builds
 
 Exit codes: 0 on success, 1 on configuration or input errors, 2 on usage
 errors (unknown flags, missing arguments), 3 when a run's ledger audit fails.
@@ -12,16 +12,14 @@ errors (unknown flags, missing arguments), 3 when a run's ledger audit fails.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 
 from .crypto import CryptoError
 from .engine import EngineError
 from .metrics import AuditError, export_csv
-from .runner import SWEEP_AXES, run_scenario, sweep, sweep_fieldnames
+from .runner import SWEEP_AXES, build_run_topology, run_scenario, sweep, sweep_fieldnames
 from .scenario import ScenarioError, load_scenario
-from .simulation import child_rng
-from .topology import CaseError, build_topology, distance, export_topology, load_power_case
+from .topology import CaseError, export_topology
 
 _INPUT_ERRORS = (ScenarioError, CaseError, CryptoError, EngineError, OSError, ValueError)
 
@@ -53,23 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated seeds, e.g. 1,2,3")
     p_sweep.add_argument("--out", required=True, help="output CSV")
 
-    p_topo = sub.add_parser("topology", help="build and export the graph")
-    p_topo.add_argument("--case", required=True, help="power case file")
+    p_topo = sub.add_parser("topology", help="export the graph a run builds")
+    p_topo.add_argument("--scenario", required=True, help="scenario .ini file")
+    p_topo.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_topo.add_argument("--out", required=True, help="output node/edge list")
-    p_topo.add_argument("--d-km", type=float, default=None,
-                        help="region radius; default: half the mean substation spacing")
-    p_topo.add_argument("--relays", type=int, default=0)
-    p_topo.add_argument("--ehrns", type=int, default=0)
-    p_topo.add_argument("--seed", type=int, default=0)
     return parser
-
-
-def _default_d_km(case) -> float:
-    positions = [sub.position for sub in case.substations.values()]
-    gaps = [distance(p, q) for p, q in itertools.combinations(positions, 2)]
-    if not gaps:
-        return 1.0
-    return max(sum(gaps) / len(gaps) / 2.0, 1e-9)
 
 
 def _cmd_run(args) -> int:
@@ -95,10 +81,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_topology(args) -> int:
-    case = load_power_case(args.case)
-    d_km = args.d_km if args.d_km is not None else _default_d_km(case)
-    topo = build_topology(case, d_km, args.relays, args.ehrns, child_rng(args.seed, "deploy"))
+    cfg = load_scenario(args.scenario)
+    topo = build_run_topology(cfg, cfg.seed if args.seed is None else args.seed)
     export_topology(topo, args.out)
+    case = topo.case
     print(f"case={case.name} substations={len(case.substations)} "
           f"regions={len(topo.regions)} pmu_buses={len(topo.pmu_buses)} "
           f"nodes={len(topo.nodes)} -> {args.out}")

@@ -135,6 +135,9 @@ class SimNode:
     region: int | None = None
     consumed_j: float = 0.0
     _last_refresh: float = 0.0
+    sent: int = 0  # packets handed to this node to carry
+    delivered: int = 0  # of those, confirmed intact at a sink
+    seq: int = 0  # last sequence number this node stamped
     wireless: bool = field(init=False)
 
     def __post_init__(self) -> None:

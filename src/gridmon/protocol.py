@@ -159,40 +159,15 @@ def parse_aggregate(blob: bytes) -> tuple[int, float, float, list[SensorReading]
 # ===== trust =====
 
 
-class TrustLedger:
-    """Per-node delivery bookkeeping behind the trust formula.
-
-    ``sent`` counts packets handed to a node to carry; ``delivered`` counts
-    those confirmed intact at a sink.  Trust is the delivered percentage; a
-    node nothing was ever routed through starts at full trust.
-    """
-
-    def __init__(self):
-        self._sent: dict[int, int] = {}
-        self._delivered: dict[int, int] = {}
-
-    def record_sent(self, node_id: int, count: int = 1) -> None:
-        self._sent[node_id] = self._sent.get(node_id, 0) + count
-
-    def record_delivered(self, node_id: int, count: int = 1) -> None:
-        self._delivered[node_id] = self._delivered.get(node_id, 0) + count
-
-    def counts(self, node_id: int) -> tuple[int, int]:
-        return self._sent.get(node_id, 0), self._delivered.get(node_id, 0)
-
-    def trust_value(self, node_id: int) -> float:
-        sent, delivered = self.counts(node_id)
-        return trust_value(delivered, sent) if sent else 100.0
-
-
 def trust_value(messages_delivered: int, messages_sent: int) -> float:
-    """Delivered share as a percentage of messages routed through a node."""
+    """Delivered share as a percentage of messages routed through a node; a
+    node nothing was ever routed through starts at full trust."""
     if messages_sent < 0 or messages_delivered < 0:
         raise ProtocolError("message counts must be non-negative")
     if messages_delivered > messages_sent:
         raise ProtocolError("delivered count exceeds sent count")
     if messages_sent == 0:
-        raise ProtocolError("trust undefined with no messages sent")
+        return 100.0
     return 100.0 * messages_delivered / messages_sent
 
 

@@ -44,7 +44,7 @@ from .metrics import (
     mean,
     p95,
 )
-from .protocol import Packet, PacketKind, SensorReading, TrustLedger
+from .protocol import Packet, PacketKind, SensorReading
 from .scenario import ScenarioConfig, ScenarioError
 from .topology import Role, Topology, distance
 
@@ -93,12 +93,10 @@ class Simulation:
         # SCADA readings go to their region's RS, phasor frames to its PDC.
         self._sinks = {PacketKind.SCADA: topo.rs_of_region, PacketKind.PMU: topo.pdc_of_region}
 
-        self.trust = TrustLedger()
         self.ledger = ReadingLedger()
         self.packet_drops = {cause: 0 for cause in DROP_CAUSES}
         self.tamper_rejections = 0
         self.reroutes = 0
-        self._seq: dict[int, int] = {}
         self._reading_seq = 0
         self._aggregate_seq = 0
         self._cn_cache: dict[int, tuple[float, int]] = {}
@@ -175,8 +173,9 @@ class Simulation:
     # ----- small utilities -----
 
     def _next_seq(self, node_id: int) -> int:
-        self._seq[node_id] = self._seq.get(node_id, 0) + 1
-        return self._seq[node_id]
+        node = self.nodes[node_id]
+        node.seq += 1
+        return node.seq
 
     def _trace(self, ev: str, pkt: Packet, src: int, dst: int) -> None:
         """Log one packet event; callers check that tracing is on."""
@@ -255,7 +254,7 @@ class Simulation:
                     continue
                 scores[cand.id] = protocol.candidate_value(
                     100.0 * cand.battery_j / cand.capacity_j,
-                    self.trust.trust_value(cand.id),
+                    protocol.trust_value(cand.delivered, cand.sent),
                     self._connectivity(cand),
                 )
             # Walk candidates in election order until one has a live route.
@@ -297,7 +296,7 @@ class Simulation:
         # Trust counts monitoring traffic only; reroute requests are control
         # plane and earn no credit either way.
         if receiver.wireless and pkt.kind is not PacketKind.REROUTE:
-            self.trust.record_sent(receiver.id)
+            receiver.sent += 1
         self.queue.schedule(now + latency_s, self._hop_arrive, pkt, idx + 1)
 
     def _hop_arrive(self, pkt: Packet, idx: int) -> None:
@@ -330,9 +329,9 @@ class Simulation:
         self._transmit(pkt, idx)
 
     def _credit_path(self, pkt: Packet) -> None:
-        for nid in pkt.path:
-            if self.nodes[nid].wireless:
-                self.trust.record_delivered(nid)
+        for _, receiver, _, _, _ in pkt.hops:
+            if receiver.wireless:
+                receiver.delivered += 1
 
     # ----- sink side -----
 
@@ -527,7 +526,7 @@ class Simulation:
     def _trust_probes(self):
         """The trust-bootstrap plan: ``k_test`` test packets from every gateway
         through every candidate in range, yielded as they are drawn.  Delivery
-        feeds the trust ledger before the first election."""
+        feeds the nodes' trust counts before the first election."""
         window = self.cfg.setup_s * 0.5
         bits = Packet(0, 0, 0, PacketKind.TEST).size_bits()  # probes carry no payload
         send = self._send_test

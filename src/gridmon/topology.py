@@ -251,7 +251,7 @@ def partition_regions(case: PowerCase, d_km: float) -> list[Region]:
     anchor is the unassigned substation closest to the current anchor.
     Ties break toward the lower substation id.
     """
-    if d_km <= 0:
+    if not d_km > 0:  # NaN too: no substation would ever join a region
         raise CaseError(f"region distance must be positive, got {d_km}")
     border = border_substations(case)
     anchor = min(border, key=lambda sid: (-substation_connectivity(case, sid), sid))

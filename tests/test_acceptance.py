@@ -291,8 +291,8 @@ def test_criterion_7_reroute_liveness(data_dir, tmp_path):
 
     reroute_lines = [l for l in trace.lines if " ev=reroute " in l]
     reject_lines = [l for l in trace.lines if " ev=reject " in l]
-    sent, delivered = sim.trust.counts(villain)
-    final_trust = sim.trust.trust_value(villain)
+    sent, delivered = sim.nodes[villain].sent, sim.nodes[villain].delivered
+    final_trust = trust_value(delivered, sent)
     heads = {
         flow.path[1] for (_, kind), flow in sim.flows.items()
         if kind is PacketKind.SCADA and flow.path is not None

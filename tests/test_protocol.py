@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gridmon import protocol
+from gridmon.engine import Role, SimNode
 from gridmon.protocol import (
     HEADER_BYTES,
     Packet,
@@ -19,7 +20,6 @@ from gridmon.protocol import (
     ProtocolError,
     SensorReading,
     TamperRejected,
-    TrustLedger,
     build_aggregate,
     candidate_value,
     deserialize_reading,
@@ -47,6 +47,7 @@ def test_trust_value_exact_points():
     assert trust_value(95, 100) == 95.0
     assert trust_value(0, 7) == 0.0
     assert trust_value(1, 3) == pytest.approx(100.0 / 3.0)
+    assert trust_value(0, 0) == 100.0  # untried nodes start at full trust
 
 
 def test_trust_value_domain_errors():
@@ -70,15 +71,15 @@ def test_trust_value_bounded_and_monotone(sent, data):
 
 
 def test_trust_ledger_counts_and_defaults():
-    ledger = TrustLedger()
-    assert ledger.trust_value(42) == 100.0  # untried nodes start at full trust
-    assert ledger.counts(42) == (0, 0)
-    ledger.record_sent(42, count=4)
-    ledger.record_delivered(42, count=3)
-    assert ledger.counts(42) == (4, 3)
-    assert ledger.trust_value(42) == 75.0
-    ledger.record_sent(42)
-    assert ledger.trust_value(42) == 60.0  # lost packet drags trust down
+    node = SimNode(id=42, role=Role.RELAY, position=(0.0, 0.0))
+    assert (node.sent, node.delivered) == (0, 0)
+    assert trust_value(node.delivered, node.sent) == 100.0  # untried nodes start at full trust
+    node.sent += 4
+    node.delivered += 3
+    assert (node.sent, node.delivered) == (4, 3)
+    assert trust_value(node.delivered, node.sent) == 75.0
+    node.sent += 1
+    assert trust_value(node.delivered, node.sent) == 60.0  # lost packet drags trust down
 
 
 # ===== candidate value and election =====

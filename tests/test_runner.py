@@ -6,6 +6,7 @@ import dataclasses
 import math
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from gridmon.runner import (
 )
 from gridmon.scenario import _SECTION_KEYS, ScenarioConfig, ScenarioError, load_scenario
 from gridmon.simulation import Simulation
-from gridmon.topology import distance
+from gridmon.topology import distance, export_topology
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -105,6 +106,16 @@ def test_grayhole_string_parses_to_pairs(tmp_path):
     cfg = load_scenario(str(ini))
     assert cfg.attack.grayhole == ((200, 0.5), (300, 0.25))
 
+
+
+@pytest.mark.parametrize("key", ["blackhole_nodes", "tamper_nodes"])
+def test_attack_node_lists_parse_to_frozensets(tmp_path, key):
+    ini = tmp_path / "n.ini"
+    ini.write_text(f"[case]\npath = x.case\n[attack]\n{key} = 7 3 7\n")
+    assert getattr(load_scenario(str(ini)).attack, key) == frozenset({3, 7})
+    ini.write_text(f"[case]\npath = x.case\n[attack]\n{key} = 3 x\n")
+    with pytest.raises(ScenarioError, match=rf"\[attack\] {key} must be node ids"):
+        load_scenario(str(ini))
 
 def test_scenario_error_cases(tmp_path):
     missing = tmp_path / "absent.ini"
@@ -388,6 +399,26 @@ def test_tampering_harvester_is_rerouted_around_on_the_phasor_route(scenarios_di
     assert record.pmu_delivered == record.pmu_generated
 
 
+
+def test_a_trust_probe_with_no_chain_onward_is_dropped_no_route(scenarios_dir):
+    """At 12 km range some candidates in a gateway's range have no greedy
+    chain to the sink, so their probes stall at the candidate: each is a
+    ``no_route`` packet drop that no reading's books see."""
+    cfg = dataclasses.replace(
+        load_scenario(str(scenarios_dir / "ieee14.ini")), range_m=12000.0, duration_s=1.0
+    )
+    trace = TraceLog()
+    sim = run_simulation(cfg, seed=2, trace=trace)  # audits the ledger
+    stalled = [
+        int(re.search(r" dst=(\d+) ", l).group(1))
+        for l in trace.lines if " ev=drop " in l and l.endswith(" kind=test")
+    ]
+    assert len(stalled) == 15
+    assert all(sim.nodes[nid].wireless for nid in stalled)  # dropped at the candidate
+    assert sim.metrics.packet_drops_no_route == 15
+    for kind in (PacketKind.SCADA, PacketKind.PMU):
+        assert sim.ledger.summarize(kind)["drops"]["no_route"] == 0
+
 def test_hop_tables_hold_the_per_hop_model_costs(scenarios_dir, monkeypatch):
     """Every hop walked, by probes, readings and a reroute request on the
     reversed path, pays exactly what the radio and energy models give for
@@ -544,22 +575,42 @@ def test_cli_sweep_writes_csv(mini_ini, tmp_path):
     assert {r["seed"] for r in rows} == {"1", "2", "mean"}
 
 
-def test_cli_topology_exports_edges(cases_dir, tmp_path):
-    out = tmp_path / "topo.txt"
-    code = main(["topology", "--case", str(cases_dir / "ieee14.case"), "--out", str(out)])
-    assert code == 0
+def test_cli_topology_exports_edges(scenarios_dir, tmp_path):
+    ini = str(scenarios_dir / "ieee14.ini")
+    out, moved = tmp_path / "topo.txt", tmp_path / "seed7.txt"
+    assert main(["topology", "--scenario", ini, "--out", str(out)]) == 0
+    assert main(["topology", "--scenario", ini, "--seed", "7", "--out", str(moved)]) == 0
     lines = out.read_text().splitlines()
-    assert any(l.startswith("node ") for l in lines)
+    assert sum(l.startswith("node ") for l in lines) == 231
     assert any(l.startswith("edge ") for l in lines)
+    assert "regions=3 d_km=35" in lines[1]
+    expect = tmp_path / "expect.txt"
+    cfg = load_scenario(ini)
+    export_topology(build_run_topology(cfg, cfg.seed), str(expect))
+    assert out.read_bytes() == expect.read_bytes()
+
+    def relays(path):
+        return [l for l in path.read_text().splitlines() if " relay " in l]
+    assert relays(out) and relays(moved) != relays(out)
 
 
-def test_cli_input_errors_exit_1(tmp_path):
+def test_cli_input_errors_exit_1(tmp_path, data_dir, capsys):
     assert main(["run", "--scenario", str(tmp_path / "absent.ini")]) == 1
     bad = tmp_path / "bad.ini"
     bad.write_text("[case]\npath = nowhere.case\n")
     assert main(["run", "--scenario", str(bad)]) == 1
-    assert main(["topology", "--case", str(tmp_path / "no.case"),
-                 "--out", str(tmp_path / "o.txt")]) == 1
+    # topology validates what it reads: a NaN radius would grow regions forever.
+    case = f"[case]\npath = {data_dir / 'line3.case'}\n"
+    nan_d_km, negative = tmp_path / "nan.ini", tmp_path / "negative.ini"
+    nan_d_km.write_text(case + "d_km = nan\n")
+    negative.write_text(case + "[deploy]\nrelays = -5\n")
+    capsys.readouterr()
+    for ini, message in [(tmp_path / "absent.ini", "absent.ini"),
+                         (nan_d_km, "[case] d_km"), (negative, "[deploy] relays")]:
+        t0 = time.perf_counter()
+        assert main(["topology", "--scenario", str(ini), "--out", str(tmp_path / "o.txt")]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert message in capsys.readouterr().err
 
 
 def test_cli_audit_failure_exits_3(mini_ini, monkeypatch, capsys):

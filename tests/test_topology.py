@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -182,6 +183,15 @@ def test_partition_regions_covers_all_substations():
         assert region.anchor in region.members
         for sid in region.members:
             assert distance(case.substations[sid].position, anchor_pos) <= 12.0
+
+
+
+@pytest.mark.parametrize("d_km", [0.0, -1.0, math.nan])
+def test_partition_regions_refuses_a_radius_that_is_not_positive(d_km):
+    # NaN compares false with every distance, so no region would ever grow.
+    case = make_case([1, 2], [(1, 2)], [(1, (0, 0), [1]), (2, (10, 0), [2])])
+    with pytest.raises(CaseError, match="region distance must be positive"):
+        partition_regions(case, d_km)
 
 
 @given(st.data())
