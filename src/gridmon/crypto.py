@@ -7,7 +7,9 @@ Three primitives, all small enough to run on constrained field hardware:
 * HMAC plus a nested variant that binds a group key over a pairwise key.
 
 A hybrid construction (ephemeral ECDH + RC5-CTR + HMAC) seals aggregate
-payloads for the control-center public key.
+payloads for the control-center public key.  Each seal carries its own
+48-bit id, which picks its counter blocks and, with the ECDH output, its
+RC5 and MAC keys.
 
 Points are affine ``(x, y)`` tuples; ``None`` is the point at infinity.
 The API stays affine, but ``scalar_mult`` works in Jacobian coordinates
@@ -21,6 +23,8 @@ inside and picks one of three paths by its input:
 
 RC5 key schedules are memoized per key; ``protocol.seal`` keeps RC5-CTR
 counter blocks disjoint under a key (48-bit sequence, 16-bit block index).
+A ``CryptoMemo`` passed as ``memo=`` lets one run compute each keystream and
+ECDH key once: a message's seal and its opens share the work.
 """
 
 from __future__ import annotations
@@ -31,11 +35,31 @@ import hmac as _hmac
 import itertools
 import random
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 
 
 class CryptoError(ValueError):
     """Raised for malformed keys, points, or sealed payloads."""
+
+
+class CryptoMemo(OrderedDict):
+    """Bounded memo of pure results within one run: RC5 keystreams keyed by
+    (key, counter base, length) and ECDH keys keyed by (curve, private key,
+    peer point).
+
+    Holds at most ``LIMIT`` entries and drops the oldest first.  A run owns
+    one and empties it when it ends; callers that pass none compute every
+    result afresh.
+    """
+
+    LIMIT = 1024
+
+    def remember(self, key, value):
+        self[key] = value
+        if len(self) > self.LIMIT:
+            self.popitem(last=False)
+        return value
 
 
 # ===== elliptic curve arithmetic =====
@@ -331,16 +355,28 @@ def derive_key(curve: CurveParams, point: tuple[int, int]) -> bytes:
     return hashlib.sha256(x_bytes).digest()[:16]
 
 
-def ecdh_shared(curve: CurveParams, private: int, peer_public) -> bytes:
-    """Derive the pairwise key private * peer_public -> 16 bytes."""
+def ecdh_shared(
+    curve: CurveParams, private: int, peer_public, *, memo: CryptoMemo | None = None
+) -> bytes:
+    """Derive the pairwise key private * peer_public -> 16 bytes.
+
+    The checks run on every call; a ``memo`` then serves a (curve, private,
+    peer) triple it has seen without a scalar multiplication.
+    """
     if not is_on_curve(curve, peer_public) or peer_public is None:
         raise CryptoError(f"peer public key {peer_public} is not on curve {curve.name}")
     if not 1 <= private <= curve.n - 1:
         raise CryptoError("private key out of range")
-    shared = scalar_mult(curve, private, peer_public)
-    if shared is None:
-        raise CryptoError("shared secret is the point at infinity")
-    return derive_key(curve, shared)
+    entry = (curve, private, peer_public)
+    key = None if memo is None else memo.get(entry)
+    if key is None:
+        shared = scalar_mult(curve, private, peer_public)
+        if shared is None:
+            raise CryptoError("shared secret is the point at infinity")
+        key = derive_key(curve, shared)
+        if memo is not None:
+            memo.remember(entry, key)
+    return key
 
 
 # ===== RC5-32/12/16 =====
@@ -384,21 +420,37 @@ def rc5_encrypt_block(S: tuple[int, ...], block: bytes) -> bytes:
     return rc5_ctr(S, int.from_bytes(block, "little"), bytes(RC5_BLOCK_BYTES))
 
 
-def rc5_ctr(key_or_schedule, nonce: int, data: bytes) -> bytes:
+def rc5_ctr(key_or_schedule, nonce: int, data: bytes, *, memo: CryptoMemo | None = None) -> bytes:
     """Counter-mode keystream XOR; encryption and decryption are the same op.
 
     Keystream block i is RC5(E, (nonce + i) mod 2**64), encoded little-endian
     and XORed as one integer.  Callers keep each (key, counter block) unique;
     ``seal`` puts a 48-bit sequence number above a 16-bit block index.  A key
     goes through the memoized ``rc5_key_schedule``; a list or tuple is taken
-    as an expanded schedule.
+    as an expanded schedule.  With a key, a ``memo`` computes the keystream
+    of a (key, nonce, length) once and only XORs on later calls; the key
+    schedule is still looked up on every call.
     """
     S = key_or_schedule
+    n = len(data)
+    pad = None
     if not isinstance(S, (list, tuple)):
         # Any bytes-like key; memoryview refuses the int that bytes() would zero-fill.
-        S = rc5_key_schedule(bytes(memoryview(S)))
+        key = bytes(memoryview(S))
+        S = rc5_key_schedule(key)
+        if memo is not None:
+            entry = (key, nonce, n)
+            pad = memo.get(entry)
+            if pad is None:
+                pad = memo.remember(entry, _keystream(S, nonce, n))
+    if pad is None:
+        pad = _keystream(S, nonce, n)
+    return (int.from_bytes(data, "little") ^ pad).to_bytes(n, "little")
+
+
+def _keystream(S, nonce: int, n: int) -> int:
+    """The first ``n`` keystream bytes from counter ``nonce``, as a little-endian int."""
     rounds = tuple(zip(S[2::2], S[3::2]))
-    n = len(data)
     blocks = -(-n // RC5_BLOCK_BYTES)
     stream = []
     for counter in range(nonce, nonce + blocks):
@@ -411,8 +463,7 @@ def rc5_ctr(key_or_schedule, nonce: int, data: bytes) -> bytes:
             x, r = B ^ A, A & 31
             B = ((x << r | x >> (32 - r)) + sb) & _M32
         stream.append(A | B << 32)
-    pad = struct.pack(f"<{blocks}Q", *stream)[:n]
-    return (int.from_bytes(data, "little") ^ int.from_bytes(pad, "little")).to_bytes(n, "little")
+    return int.from_bytes(struct.pack(f"<{blocks}Q", *stream)[:n], "little")
 
 
 # ===== message authentication =====
@@ -440,30 +491,62 @@ def tags_equal(a: bytes, b: bytes) -> bool:
 # ===== hybrid public-key sealing =====
 
 _TAG_BYTES = 32
+_SEAL_ID_BYTES = 6
 
 
-def pk_encrypt(curve: CurveParams, recipient_public, plaintext: bytes, rng: random.Random) -> bytes:
+def _pk_keys(shared: bytes, seal_id: bytes) -> tuple[bytes, bytes]:
+    """RC5 and MAC keys of one seal: SHA-256 over a distinct label, the seal
+    id and the ECDH output (key separation as in NIST SP 800-108)."""
+    context = b"\x00" + seal_id + shared
+    return (
+        hashlib.sha256(b"gridmon pk rc5" + context).digest()[:RC5_KEY_BYTES],
+        hashlib.sha256(b"gridmon pk mac" + context).digest(),
+    )
+
+
+def pk_encrypt(
+    curve: CurveParams, recipient_public, plaintext: bytes, rng: random.Random,
+    seal_id: int = 0, *, memo: CryptoMemo | None = None,
+) -> bytes:
     """Seal plaintext for a public key: ephemeral ECDH, RC5-CTR, HMAC tag.
 
-    Layout: eph_x || eph_y (curve.byte_length each) || tag (32) || ciphertext.
-    The nonce is fixed at zero, safe because every call draws a fresh
-    ephemeral key.
+    Layout: eph_x || eph_y (curve.byte_length each) || seal id (6) ||
+    tag (32) || ciphertext.  The RC5 and MAC keys derive from the ECDH output
+    and the 48-bit ``seal_id``, and the keystream starts at counter block
+    ``seal_id << 16``.  The tag covers the ephemeral point, the id and the
+    ciphertext, so no header byte can change unseen (a negated ephemeral
+    point would still give the same ECDH output).  A small curve has few
+    ephemeral keys, so two seals can share an ECDH output; give every seal
+    its own id and they still share no key and no counter block.  ``memo``
+    is passed on to ``rc5_ctr``, so the opens can reuse the keystream.
     """
     if not is_on_curve(curve, recipient_public) or recipient_public is None:
         raise CryptoError("recipient public key is not on the curve")
+    if not 0 <= seal_id < 1 << 8 * _SEAL_ID_BYTES:
+        raise CryptoError(f"seal id {seal_id} outside [0, 2**48)")
     eph = keypair_generate(curve, rng)
-    key = ecdh_shared(curve, eph.private, recipient_public)
-    ciphertext = rc5_ctr(key, 0, plaintext)
-    tag = hmac_tag(key, ciphertext)
+    sid = seal_id.to_bytes(_SEAL_ID_BYTES, "big")
+    # A fresh ephemeral key: its ECDH output is not worth a memo entry.
+    rc5_key, mac_key = _pk_keys(ecdh_shared(curve, eph.private, recipient_public), sid)
+    ciphertext = rc5_ctr(rc5_key, seal_id << 16, plaintext, memo=memo)
     size = curve.byte_length
     ex, ey = eph.public
-    return ex.to_bytes(size, "big") + ey.to_bytes(size, "big") + tag + ciphertext
+    head = ex.to_bytes(size, "big") + ey.to_bytes(size, "big") + sid
+    return head + hmac_tag(mac_key, head + ciphertext) + ciphertext
 
 
-def pk_decrypt(curve: CurveParams, private: int, sealed: bytes) -> bytes:
-    """Open a sealed payload; raises CryptoError on any tamper or truncation."""
+def pk_decrypt(
+    curve: CurveParams, private: int, sealed: bytes, *, memo: CryptoMemo | None = None
+) -> bytes:
+    """Open a sealed payload; raises CryptoError on any tamper or truncation.
+
+    ``memo`` is passed on to ``ecdh_shared`` and ``rc5_ctr``: an open reuses
+    the keystream of a seal made under the same memo, and a second open of
+    one payload its ECDH key too.
+    """
     size = curve.byte_length
-    header = 2 * size + _TAG_BYTES
+    id_end = 2 * size + _SEAL_ID_BYTES
+    header = id_end + _TAG_BYTES
     if len(sealed) < header:
         raise CryptoError("sealed payload truncated")
     eph_public = (
@@ -472,9 +555,10 @@ def pk_decrypt(curve: CurveParams, private: int, sealed: bytes) -> bytes:
     )
     if not is_on_curve(curve, eph_public):
         raise CryptoError("ephemeral public key is not on the curve")
-    tag = sealed[2 * size : header]
+    head, sid = sealed[:id_end], sealed[2 * size : id_end]
+    tag = sealed[id_end:header]
     ciphertext = sealed[header:]
-    key = ecdh_shared(curve, private, eph_public)
-    if not tags_equal(tag, hmac_tag(key, ciphertext)):
+    rc5_key, mac_key = _pk_keys(ecdh_shared(curve, private, eph_public, memo=memo), sid)
+    if not tags_equal(tag, hmac_tag(mac_key, head + ciphertext)):
         raise CryptoError("authentication tag mismatch")
-    return rc5_ctr(key, 0, ciphertext)
+    return rc5_ctr(rc5_key, int.from_bytes(sid, "big") << 16, ciphertext, memo=memo)

@@ -13,7 +13,7 @@ import enum
 import struct
 from dataclasses import dataclass
 
-from .crypto import RC5_BLOCK_BYTES, nested_hmac, rc5_ctr, tags_equal
+from .crypto import RC5_BLOCK_BYTES, CryptoMemo, nested_hmac, rc5_ctr, tags_equal
 
 
 class ProtocolError(ValueError):
@@ -108,21 +108,32 @@ def _counter_base(seq: int, length: int) -> int:
     return seq << 16
 
 
-def seal(pairwise_key: bytes, group_key: bytes, nonce: int, plaintext: bytes) -> tuple[bytes, bytes]:
-    """Encrypt under the pairwise key and tag with the nested HMAC; ``nonce``: sequence number."""
-    ciphertext = rc5_ctr(pairwise_key, _counter_base(nonce, len(plaintext)), plaintext)
+def seal(
+    pairwise_key: bytes, group_key: bytes, nonce: int, plaintext: bytes,
+    *, memo: CryptoMemo | None = None,
+) -> tuple[bytes, bytes]:
+    """Encrypt under the pairwise key and tag with the nested HMAC; ``nonce``: sequence number.
+
+    ``memo`` is passed on to ``rc5_ctr``, so the open of this seal under the
+    same memo reuses its keystream.
+    """
+    ciphertext = rc5_ctr(pairwise_key, _counter_base(nonce, len(plaintext)), plaintext, memo=memo)
     tag = nested_hmac(group_key, pairwise_key, ciphertext)
     return ciphertext, tag
 
 
 def open_sealed(
-    pairwise_key: bytes, group_key: bytes, nonce: int, ciphertext: bytes, tag: bytes
+    pairwise_key: bytes, group_key: bytes, nonce: int, ciphertext: bytes, tag: bytes,
+    *, memo: CryptoMemo | None = None,
 ) -> bytes:
-    """Verify the nested tag, then decrypt; any bit flip raises TamperRejected."""
+    """Verify the nested tag, then decrypt; any bit flip raises TamperRejected.
+
+    ``memo`` is passed on to ``rc5_ctr``; a rejected payload never reaches it.
+    """
     expect = nested_hmac(group_key, pairwise_key, ciphertext)
     if not tags_equal(expect, tag):
         raise TamperRejected("nested authentication tag mismatch")
-    return rc5_ctr(pairwise_key, _counter_base(nonce, len(ciphertext)), ciphertext)
+    return rc5_ctr(pairwise_key, _counter_base(nonce, len(ciphertext)), ciphertext, memo=memo)
 
 
 # ===== aggregates =====

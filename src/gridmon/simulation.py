@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from . import protocol
 from .attacks import AttackError, apply_attack, tamper_bytes
-from .crypto import ecdh_shared, keypair_generate, pk_decrypt, pk_encrypt
+from .crypto import CryptoMemo, ecdh_shared, keypair_generate, pk_decrypt, pk_encrypt
 from .engine import EventQueue, NeighborIndex, SimNode, build_sim_nodes
 from .metrics import (
     DROP_CAUSES,
@@ -99,6 +99,8 @@ class Simulation:
         self.reroutes = 0
         self._reading_seq = 0
         self._aggregate_seq = 0
+        # Keystreams and ECDH keys a seal computed, for its opens; emptied when the run ends.
+        self._crypto_memo = CryptoMemo()
         self._cn_cache: dict[int, tuple[float, int]] = {}
 
         self.group_key = hashlib.sha256(f"group:{seed}".encode()).digest()[:16]
@@ -344,7 +346,9 @@ class Simulation:
             return
         key = self.flows[(pkt.src, pkt.kind)].key
         try:
-            plaintext = protocol.open_sealed(key, self.group_key, pkt.seq, pkt.ciphertext, pkt.tag)
+            plaintext = protocol.open_sealed(
+                key, self.group_key, pkt.seq, pkt.ciphertext, pkt.tag, memo=self._crypto_memo
+            )
         except protocol.TamperRejected:
             self._reject(node, pkt)
             return
@@ -399,7 +403,8 @@ class Simulation:
             self._drop(doomed, gw_id, flow.sink.id, "no_route")
             return
         ciphertext, tag = protocol.seal(
-            flow.key, self.group_key, seq, protocol.serialize_reading(reading)
+            flow.key, self.group_key, seq, protocol.serialize_reading(reading),
+            memo=self._crypto_memo,
         )
         pkt = Packet(
             seq=seq,
@@ -484,7 +489,10 @@ class Simulation:
         self.ledger.aggregated(ids, self._aggregate_seq)
         sink = self.nodes[sink_id]
         blob = protocol.build_aggregate(sink.region, window_start, window_end, readings)
-        sealed = pk_encrypt(self.curve, self.cc_keypair.public, blob, self.rng_crypto)
+        sealed = pk_encrypt(
+            self.curve, self.cc_keypair.public, blob, self.rng_crypto, self._aggregate_seq,
+            memo=self._crypto_memo,
+        )
         ring = self.topo.rs_ring if sink.role is Role.RS else self.topo.pdc_ring
         main_gw, backup_gw = self.topo.cc_gateways
         main_srv, backup_srv = self.topo.cc_servers
@@ -505,7 +513,9 @@ class Simulation:
         # Never true today: equal wired hops bring the backup its key after 3, any aggregate after >= 4.
         if backup and server_id not in self.keyed:
             raise ScenarioError("backup server got an aggregate before the shared private key")
-        blob = pk_decrypt(self.curve, self.cc_keypair.private, pkt.ciphertext)
+        blob = pk_decrypt(
+            self.curve, self.cc_keypair.private, pkt.ciphertext, memo=self._crypto_memo
+        )
         _, _, _, readings = protocol.parse_aggregate(blob)
         self.ledger.delivered([r.id for r in readings], self.queue.now, backup=backup)
 
@@ -592,6 +602,7 @@ class Simulation:
         self._start_traffic()
         self.queue.schedule_all(self._window_ticks())
         self.queue.run_all()
+        self._crypto_memo.clear()
         self.metrics = self._collect()
         return self.metrics
 

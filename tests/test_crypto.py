@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gridmon import crypto
+from gridmon import crypto, protocol
 from gridmon.crypto import (
     CURVES,
     CryptoError,
+    CryptoMemo,
     derive_key,
     ecdh_shared,
     hmac_tag,
@@ -36,6 +37,7 @@ from gridmon.crypto import (
 
 TOY = CURVES["toy17"]
 SECP = CURVES["secp256k1"]
+KEY16 = bytes(range(16))
 
 # ===== RC5-32/12/16 known answers =====
 
@@ -474,3 +476,165 @@ def test_pk_rejects_truncation():
     sealed = pk_encrypt(TOY, kp.public, b"x", rng)
     with pytest.raises(CryptoError):
         pk_decrypt(TOY, kp.private, sealed[: TOY.byte_length])
+
+
+def test_pk_seal_ids_keep_seals_that_share_an_ephemeral_key_apart():
+    kp = keypair_generate(TOY, random.Random(1))
+    plaintext = bytes(40)
+    first = pk_encrypt(TOY, kp.public, plaintext, random.Random(2), 1)
+    second = pk_encrypt(TOY, kp.public, plaintext, random.Random(2), 2)
+    head = 2 * TOY.byte_length
+    assert first[:head] == second[:head]  # the same ephemeral key
+    assert first[head : head + 6] == (1).to_bytes(6, "big")
+    assert second[head : head + 6] == (2).to_bytes(6, "big")
+    assert first[head + 6 + 32 :] != second[head + 6 + 32 :]
+    for sealed in (first, second):
+        assert pk_decrypt(TOY, kp.private, sealed) == plaintext
+    relabelled = first[:head] + second[head : head + 6] + first[head + 6 :]
+    with pytest.raises(CryptoError):
+        pk_decrypt(TOY, kp.private, relabelled)
+    last = pk_encrypt(TOY, kp.public, b"x", random.Random(3), 2**48 - 1)
+    assert pk_decrypt(TOY, kp.private, last) == b"x"
+    for seal_id in (-1, 2**48):
+        with pytest.raises(CryptoError):
+            pk_encrypt(TOY, kp.public, b"x", random.Random(3), seal_id)
+
+
+@pytest.mark.parametrize("curve", [TOY, SECP], ids=lambda c: c.name)
+def test_a_negated_ephemeral_point_is_refused(curve):
+    # -E has E's x coordinate, so it gives the same ECDH output; only the tag
+    # covering the header tells the two apart.
+    rng = random.Random(5)
+    kp = keypair_generate(curve, rng)
+    sealed = pk_encrypt(curve, kp.public, b"aggregate body", rng, 3)
+    size = curve.byte_length
+    y = int.from_bytes(sealed[size : 2 * size], "big")
+    negated = sealed[:size] + (curve.p - y).to_bytes(size, "big") + sealed[2 * size :]
+    with pytest.raises(CryptoError):
+        pk_decrypt(curve, kp.private, negated)
+
+
+# ===== the per-run memo =====
+
+
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    nonce=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 600, 2**64 - 1)),
+    length=st.integers(0, 4600),
+    as_bytearray=st.booleans(),
+)
+@example(key=bytes(16), nonce=2**64 - 1, length=4600, as_bytearray=True)
+@example(key=bytes(16), nonce=0, length=0, as_bytearray=False)
+def test_rc5_ctr_with_a_memo_equals_rc5_ctr_without(key, nonce, length, as_bytearray):
+    memo = CryptoMemo()
+    data = random.Random(length).randbytes(length)
+    arg = bytearray(key) if as_bytearray else key
+    expected = rc5_ctr(key, nonce, data)
+    assert rc5_ctr(arg, nonce, data, memo=memo) == expected  # computed
+    assert rc5_ctr(arg, nonce, data, memo=memo) == expected  # served
+    flipped = bytes(b ^ 0xA5 for b in data)
+    assert rc5_ctr(key, nonce, flipped, memo=memo) == rc5_ctr(key, nonce, flipped)
+    assert list(memo) == [(key, nonce, length)]
+
+
+def test_rc5_ctr_with_a_memo_meets_the_known_answers():
+    memo = CryptoMemo()
+    for _ in range(2):  # computed, then served
+        for key_hex, pt_hex, ct_hex in RC5_VECTORS:
+            counter = int.from_bytes(bytes.fromhex(pt_hex), "little")
+            out = rc5_ctr(bytes.fromhex(key_hex), counter, bytes(8), memo=memo)
+            assert out.hex() == ct_hex
+    assert len(memo) == len(RC5_VECTORS)
+
+
+def test_a_memo_hit_never_serves_another_key_counter_or_length():
+    key = random.Random(5).randbytes(16)
+    other = bytearray(key)
+    other[0] ^= 1
+    neighbours = [
+        (key, 0, 23), (key, 1, 23), (key, 2**64 - 1, 23), (key, 0, 22), (key, 0, 24),
+        (key, 0, 0), (key, 1 << 16, 23), (bytes(other), 0, 23),
+    ]
+    memo = CryptoMemo()
+    for _ in range(2):
+        for k, nonce, length in neighbours:
+            keystream = rc5_ctr(k, nonce, bytes(length), memo=memo)
+            assert keystream == reference_ctr(rc5_key_schedule(k), nonce, bytes(length))
+    assert len(memo) == len(neighbours)
+
+
+def test_the_memo_keeps_its_newest_entries_up_to_its_bound():
+    memo = CryptoMemo()
+    key = bytes(16)
+    for nonce in range(CryptoMemo.LIMIT + 10):
+        rc5_ctr(key, nonce, b"x", memo=memo)
+        assert len(memo) <= CryptoMemo.LIMIT
+    assert len(memo) == CryptoMemo.LIMIT
+    assert (key, 9, 1) not in memo and (key, 10, 1) in memo  # the oldest go first
+
+
+def test_rc5_ctr_computes_a_memoized_keystream_once_but_schedules_every_call(monkeypatch):
+    calls = {"_keystream": 0, "rc5_key_schedule": 0}
+    for name in calls:
+        real = getattr(crypto, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(crypto, name, counted)
+    memo = CryptoMemo()
+    for _ in range(3):
+        rc5_ctr(KEY16, 7, b"reading", memo=memo)
+    assert calls == {"_keystream": 1, "rc5_key_schedule": 3}
+    rc5_ctr(KEY16, 7, b"reading")  # no memo: computed afresh
+    assert calls == {"_keystream": 2, "rc5_key_schedule": 4}
+
+
+def test_ecdh_with_a_memo_equals_ecdh_without_and_still_checks_its_inputs(monkeypatch):
+    mults = []
+    real = crypto.scalar_mult
+    monkeypatch.setattr(crypto, "scalar_mult", lambda *args: mults.append(args) or real(*args))
+    memo = CryptoMemo()
+    publics = [keypair_from_private(TOY, b).public for b in range(1, 19)]
+    pairs = [(a, peer) for a in range(1, 19) for peer in publics]
+    for _ in range(2):
+        for private, peer in pairs:
+            assert ecdh_shared(TOY, private, peer, memo=memo) == derive_key(
+                TOY, real(TOY, private, peer)
+            )
+    assert len(memo) == len(pairs)
+    assert len(mults) == 18 + len(pairs)  # 18 key pairs, then one multiplication per pair
+    with pytest.raises(CryptoError):
+        ecdh_shared(TOY, 3, (2, 2), memo=memo)
+    with pytest.raises(CryptoError):
+        ecdh_shared(TOY, 0, pairs[0][1], memo=memo)
+    with pytest.raises(CryptoError):
+        ecdh_shared(TOY, TOY.n, pairs[0][1], memo=memo)
+
+
+@pytest.mark.parametrize("curve", [TOY, SECP], ids=lambda c: c.name)
+def test_a_flipped_bit_is_refused_with_a_memo(curve):
+    rng = random.Random(curve.name)
+    kp = keypair_generate(curve, rng)
+    memo = CryptoMemo()
+    plaintext = rng.randbytes(30)
+    sealed = pk_encrypt(curve, kp.public, plaintext, rng, 12, memo=memo)
+    assert pk_decrypt(curve, kp.private, sealed, memo=memo) == plaintext
+    for bit in range(len(sealed) * 8):
+        bad = bytearray(sealed)
+        bad[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(CryptoError):
+            pk_decrypt(curve, kp.private, bytes(bad), memo=memo)
+    assert pk_decrypt(curve, kp.private, sealed, memo=memo) == plaintext
+
+    group = rng.randbytes(16)
+    reading = rng.randbytes(protocol.READING_BYTES)
+    ciphertext, tag = protocol.seal(KEY16, group, 40, reading, memo=memo)
+    assert protocol.open_sealed(KEY16, group, 40, ciphertext, tag, memo=memo) == reading
+    for field in (0, 1):
+        for bit in range(len((ciphertext, tag)[field]) * 8):
+            parts = [bytearray(ciphertext), bytearray(tag)]
+            parts[field][bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(protocol.TamperRejected):
+                protocol.open_sealed(KEY16, group, 40, bytes(parts[0]), bytes(parts[1]), memo=memo)

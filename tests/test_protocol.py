@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gridmon import protocol
+from gridmon import crypto, protocol
 from gridmon.engine import Role, SimNode
 from gridmon.protocol import (
     HEADER_BYTES,
@@ -234,28 +234,40 @@ def test_seal_rejects_sequence_numbers_and_lengths_outside_the_counter_block():
 
 @pytest.mark.parametrize("curve", ["secp256k1", "toy17"])
 def test_a_whole_run_never_reuses_a_counter_block_under_a_key(monkeypatch, scenarios_dir, curve):
-    real = protocol.rc5_ctr
-    sealed = set()   # (key, nonce, ciphertext) of every seal, so its open is recognised
     used = {}        # (key, counter block) -> nonce of the seal that used it
 
-    def recording_ctr(key, nonce, data):
-        out = real(key, nonce, data)
-        if (key, nonce, data) not in sealed:
-            sealed.add((key, nonce, out))
-            for i in range(-(-len(data) // 8)):
-                block = (key, (nonce + i) % 2**64)
-                assert block not in used, (nonce, used[block])
-                used[block] = nonce
-        return out
+    def record_seals(module, sealed):
+        """Wrap ``module``'s rc5_ctr; ``sealed`` gets (key, nonce, ciphertext)
+        of every seal, so its opens are recognised."""
+        real = module.rc5_ctr
 
-    monkeypatch.setattr(protocol, "rc5_ctr", recording_ctr)
+        def recording_ctr(key, nonce, data, **kwargs):
+            out = real(key, nonce, data, **kwargs)
+            if (key, nonce, data) not in sealed:
+                sealed.add((key, nonce, out))
+                for i in range(-(-len(data) // 8)):
+                    block = (key, (nonce + i) % 2**64)
+                    assert block not in used, (nonce, used[block])
+                    used[block] = nonce
+            return out
+
+        monkeypatch.setattr(module, "rc5_ctr", recording_ctr)
+
+    sealed = set()      # per-reading seals, through protocol's binding
+    aggregates = set()  # public-key seals, through crypto's own binding
+    record_seals(protocol, sealed)
+    record_seals(crypto, aggregates)
     # On toy17 the 19-point group leaves ieee14's 22 (gateway, kind) pairs 8
     # distinct ECDH outputs; the pairwise key binds the flow's label too, so
-    # gateways that share an output still seal under keys of their own.
+    # gateways that share an output still seal under keys of their own.  Its
+    # 18 ephemeral keys give the aggregate seals at most 9 ECDH outputs, and
+    # the seal id keeps their keys and counter blocks apart.
     cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), curve=curve)
     record = run_scenario(cfg)
     assert len(sealed) == record.scada_generated + record.pmu_generated > 0
-    assert len(used) == 3 * len(sealed)
+    assert len(aggregates) > 0
+    aggregate_blocks = sum(-(-len(ciphertext) // 8) for _, _, ciphertext in aggregates)
+    assert len(used) == 3 * len(sealed) + aggregate_blocks
 
 
 # ===== wire formats =====

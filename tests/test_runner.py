@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import random
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from gridmon.attacks import AttackConfig
 import gridmon.cli
 import gridmon.simulation
+from gridmon import crypto, protocol
 from gridmon.cli import main
 from gridmon.crypto import pk_encrypt
 from gridmon.metrics import AuditError, TraceLog, read_csv
@@ -341,6 +343,56 @@ def test_one_ecdh_per_sensed_flow(scenarios_dir, monkeypatch):
     sensed = {(route[-1], kind) for kind, route, _, _ in sim.sensors}
     assert set(sim.flows) == sensed
     assert len(calls) == len(sensed) == 14
+
+
+@pytest.mark.parametrize("curve", ["secp256k1", "toy17"])
+def test_a_run_computes_each_keystream_once_and_each_open_reuses_one(
+    scenarios_dir, monkeypatch, curve
+):
+    calls = collections.Counter()
+    for module, name in [
+        (crypto, "_keystream"), (crypto, "scalar_mult"), (crypto, "keypair_from_private"),
+        (crypto, "ecdh_shared"), (gridmon.simulation, "ecdh_shared"),
+        (gridmon.simulation, "pk_encrypt"), (gridmon.simulation, "pk_decrypt"),
+        (protocol, "seal"), (protocol, "open_sealed"),
+    ]:
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    largest = 0
+    remember = crypto.CryptoMemo.remember
+
+    def bounded_remember(memo, key, value):
+        nonlocal largest
+        out = remember(memo, key, value)
+        largest = max(largest, len(memo))
+        return out
+
+    monkeypatch.setattr(crypto.CryptoMemo, "remember", bounded_remember)
+    cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), curve=curve)
+    runs = []
+    for _ in range(2):  # the second run gets no keystream from the first
+        calls.clear()
+        sim = run_simulation(cfg)
+        assert len(sim._crypto_memo) == 0  # emptied when the run ends
+        runs.append(dict(calls))
+    first, second = runs
+    assert first == second
+    sealed = first["seal"] + first["pk_encrypt"]
+    assert first["open_sealed"] >= first["seal"] > 0
+    assert first["pk_decrypt"] == 2 * first["pk_encrypt"] > 0
+    # Every seal computes its keystream and every open finds it.
+    assert first["_keystream"] == sealed
+    # From scratch, each key pair and each ECDH is one scalar multiplication.
+    saved = first["keypair_from_private"] + first["ecdh_shared"] - first["scalar_mult"]
+    if curve == "secp256k1":
+        assert saved == first["pk_encrypt"]  # the backup server's open
+    else:
+        # 18 ephemeral keys: the opens also meet earlier aggregates' ECDH inputs.
+        assert saved >= first["pk_encrypt"]
+    assert largest == crypto.CryptoMemo.LIMIT  # reached, never passed
 
 
 @pytest.mark.parametrize("p", [1.0, 0.0])
