@@ -332,7 +332,6 @@ def scalar_mult(curve: CurveParams, k: int, point):
 
 @dataclass(frozen=True)
 class KeyPair:
-    curve: CurveParams
     private: int
     public: tuple[int, int]
 
@@ -342,7 +341,7 @@ def keypair_from_private(curve: CurveParams, private: int) -> KeyPair:
     if not 1 <= private <= curve.n - 1:
         raise CryptoError(f"private key {private} out of range [1, {curve.n - 1}]")
     public = scalar_mult(curve, private, curve.g)
-    return KeyPair(curve, private, public)
+    return KeyPair(private, public)
 
 
 def keypair_generate(curve: CurveParams, rng: random.Random) -> KeyPair:
@@ -539,6 +538,7 @@ def pk_decrypt(
     curve: CurveParams, private: int, sealed: bytes, *, memo: CryptoMemo | None = None
 ) -> bytes:
     """Open a sealed payload; raises CryptoError on any tamper or truncation.
+    ``ecdh_shared`` refuses an ephemeral point off the curve.
 
     ``memo`` is passed on to ``ecdh_shared`` and ``rc5_ctr``: an open reuses
     the keystream of a seal made under the same memo, and a second open of
@@ -553,8 +553,6 @@ def pk_decrypt(
         int.from_bytes(sealed[:size], "big"),
         int.from_bytes(sealed[size : 2 * size], "big"),
     )
-    if not is_on_curve(curve, eph_public):
-        raise CryptoError("ephemeral public key is not on the curve")
     head, sid = sealed[:id_end], sealed[2 * size : id_end]
     tag = sealed[id_end:header]
     ciphertext = sealed[header:]

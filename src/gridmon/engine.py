@@ -131,7 +131,6 @@ class SimNode:
     capacity_j: float = math.inf
     rechargeable: bool = False
     recharge_w: float = 0.0
-    substation: int | None = None
     region: int | None = None
     consumed_j: float = 0.0
     _last_refresh: float = 0.0
@@ -195,7 +194,6 @@ def build_sim_nodes(
                            recharge_w=ehrn_recharge_w)
         else:
             node = SimNode(dn.id, dn.role, dn.position)
-        node.substation = dn.substation
         node.region = dn.region
         nodes[dn.id] = node
     return nodes
@@ -218,19 +216,15 @@ class NeighborIndex:
     def _cell(self, pos: tuple[float, float]) -> tuple[int, int]:
         return (int(math.floor(pos[0] / self.cell_km)), int(math.floor(pos[1] / self.cell_km)))
 
-    def alive_within(
-        self, pos: tuple[float, float], now: float, exclude_id: int | None = None
-    ) -> list[SimNode]:
+    def alive_within(self, pos: tuple[float, float], now: float) -> list[SimNode]:
         """Alive wireless nodes within radio range of ``pos`` (boundary inclusive),
-        ordered by id."""
+        ordered by id; a node at ``pos`` counts itself."""
         cx, cy = self._cell(pos)
         range_km = self.radio.range_km
         found: list[SimNode] = []
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 for node in self._cells.get((cx + dx, cy + dy), ()):
-                    if node.id == exclude_id:
-                        continue
                     if math.hypot(node.position[0] - pos[0], node.position[1] - pos[1]) <= range_km:
                         if node.alive(now):
                             found.append(node)

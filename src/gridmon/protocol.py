@@ -86,13 +86,14 @@ def serialize_reading(reading: SensorReading) -> bytes:
     )
 
 
-def deserialize_reading(data: bytes, substation: int = 0) -> SensorReading:
+def deserialize_reading(data: bytes) -> SensorReading:
+    """Parse one wire record; it carries no substation, so ``substation`` is 0."""
     if len(data) != READING_BYTES:
         raise ProtocolError(f"reading record must be {READING_BYTES} bytes, got {len(data)}")
     code, bus, rid, timestamp, value = struct.unpack(_READING_FMT, data)
     if code not in _CODE_KIND:
         raise ProtocolError(f"unknown reading kind code {code}")
-    return SensorReading(rid, _CODE_KIND[code], bus, substation, timestamp, value)
+    return SensorReading(rid, _CODE_KIND[code], bus, 0, timestamp, value)
 
 
 # ===== sealing =====

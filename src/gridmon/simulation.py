@@ -194,7 +194,8 @@ class Simulation:
         cached = self._cn_cache.get(node.id)
         if cached is not None and cached[0] == self.queue.now:
             return cached[1]
-        count = len(self.index.alive_within(node.position, self.queue.now, exclude_id=node.id))
+        # Less the node itself: _route only asks about a candidate alive_within just found alive.
+        count = len(self.index.alive_within(node.position, self.queue.now)) - 1
         self._cn_cache[node.id] = (self.queue.now, count)
         return count
 
@@ -216,16 +217,14 @@ class Simulation:
             here = distance(pos, target.position)
             if here <= range_km:
                 return hops
-            best = None
-            best_key = None
+            best, best_d = None, here
+            # Candidates come in id order, so a tie on distance keeps the lower id.
             for cand in self.index.alive_within(pos, now):
                 if cand.role is not role or cand.id in excluded:
                     continue
                 d = distance(cand.position, target.position)
-                if d < here:
-                    key = (d, cand.id)
-                    if best_key is None or key < best_key:
-                        best, best_key = cand, key
+                if d < best_d:
+                    best, best_d = cand, d
             if best is None:
                 return None
             hops.append(best.id)
@@ -352,9 +351,7 @@ class Simulation:
         except protocol.TamperRejected:
             self._reject(node, pkt)
             return
-        reading = protocol.deserialize_reading(
-            plaintext, substation=self.nodes[pkt.src].substation or 0
-        )
+        reading = protocol.deserialize_reading(plaintext)
         self._credit_path(pkt)
         self.ledger.at_sink([reading.id])
         self._sink_buffer[node.id].append(reading)
@@ -383,9 +380,9 @@ class Simulation:
         self.reroutes += 1
         state = self.ledger.entries[pkt.ref]
         flow = self.flows[(gw_id, state.reading.kind)]
-        # The first relay or harvester past the gateway takes the blame.
-        if len(pkt.path) > 2:
-            flow.excluded.add(pkt.path[-2])
+        # The first relay or harvester past the gateway takes the blame; only
+        # a node mid-path tampers, so there always is one.
+        flow.excluded.add(pkt.path[-2])
         flow.path = flow.hops = None
         if state.retransmits < _MAX_RETRANSMITS:
             self.ledger.resent(pkt.ref)
@@ -503,7 +500,6 @@ class Simulation:
                 dst=server,
                 kind=PacketKind.AGGREGATE,
                 ciphertext=sealed,
-                reading_ids=ids,
             )
             route = tuple(self._ring_route(ring, sink_id, cc_gw)) + (server,)
             self._wired_send(pkt, route, 0, self.cfg.wired_latency_s)

@@ -272,7 +272,9 @@ def test_alive_within_excludes_requested_and_dead():
     dead = relay(2, (1.0, 0.0), battery=0.0)
     nodes = {n.id: n for n in [relay(1, (0.0, 0.0)), dead, relay(3, (2.0, 0.0))]}
     idx = NeighborIndex(nodes, radio)
-    assert [n.id for n in idx.alive_within((0.0, 0.0), now=0.0, exclude_id=1)] == [3]
+    # The dead relay is left out; the node at the query point counts itself,
+    # which Simulation._connectivity subtracts.
+    assert [n.id for n in idx.alive_within((0.0, 0.0), now=0.0)] == [1, 3]
 
 
 def test_alive_within_ignores_wired_roles():

@@ -278,10 +278,8 @@ def test_reading_roundtrip_keeps_fields_except_substation():
         id=77, kind=PacketKind.PMU, bus=12, substation=4, timestamp=1.625, value=-3.5
     )
     blob = serialize_reading(reading)
-    back = deserialize_reading(blob, substation=4)
-    assert back == reading
-    # substation rides in the envelope, not the record
-    assert deserialize_reading(blob).substation == 0
+    # substation is not in the record, so it comes back 0
+    assert deserialize_reading(blob) == dataclasses.replace(reading, substation=0)
 
 
 def test_reading_deserialize_errors():

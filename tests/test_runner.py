@@ -27,7 +27,7 @@ from gridmon.runner import (
 )
 from gridmon.scenario import _SECTION_KEYS, ScenarioConfig, ScenarioError, load_scenario
 from gridmon.simulation import Simulation
-from gridmon.topology import distance, export_topology
+from gridmon.topology import Role, distance, export_topology
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -540,6 +540,74 @@ def test_fuzzed_timing_ends_audited_or_raises_scenario_error(case, seed, timing,
     if bad is not None:
         timing[bad[0]] = bad[1]
     cfg = dataclasses.replace(base, **timing)
+    try:
+        run_simulation(cfg, seed)  # validates, runs and audits
+    except ScenarioError:
+        pass
+
+
+def test_dead_harvesters_are_counted_at_the_end_of_the_run(scenarios_dir):
+    # Without recharge a 20 mJ harvester runs dry within the run.
+    cfg = dataclasses.replace(
+        load_scenario(str(scenarios_dir / "ieee14.ini")),
+        ehrn_recharge_w=0.0, ehrn_capacity_j=0.02, duration_s=2.0,
+    )
+    sim = run_simulation(cfg, seed=1)  # audits the ledger
+    drained = [n for n in sim.nodes.values() if n.role is Role.EHRN and n.battery_j <= 0.0]
+    assert sim.metrics.dead_ehrns == len(drained) == 29
+
+
+def test_audit_refuses_a_reading_that_reached_the_main_server_only(scenarios_dir):
+    cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), duration_s=1.0)
+    sim = run_simulation(cfg, seed=1)  # audits the ledger
+    state = next(s for s in sim.ledger.entries.values() if s.status == "delivered")
+    state.delivered_backup = False
+    with pytest.raises(AuditError, match=rf"^reading {state.reading.id} reached the main server only$"):
+        sim.audit()
+
+
+# What a scenario file may set for the deployment, the batteries and the
+# attack; node ids reach past ieee14's 232 nodes, so some name no node.
+_NODE_IDS = st.integers(0, 240)
+
+
+def _power_of_ten(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+_DEPLOY = {
+    "relays": st.integers(0, 150),
+    "ehrns": st.integers(0, 60),
+    # 1 m to 1,000 km, often near the 5-50 km that links ieee14's substations
+    "range_m": st.one_of(_power_of_ten(0.0, 6.0), st.floats(5e3, 5e4)),
+    "relay_battery_j": _power_of_ten(-9.0, 2.0),
+    "ehrn_capacity_j": _power_of_ten(-9.0, 2.0),
+    "ehrn_recharge_w": st.floats(0.0, 5.0),
+    "duration_s": st.floats(0.1, 2.0),
+}
+_ATTACK = st.builds(
+    AttackConfig,
+    blackhole_nodes=st.frozensets(_NODE_IDS, max_size=2),
+    grayhole=st.lists(st.tuples(_NODE_IDS, st.floats(0.0, 1.0)), max_size=2).map(tuple),
+    tamper_nodes=st.frozensets(_NODE_IDS, max_size=2),
+    compromised_count=st.integers(0, 20),
+    tamper_count=st.integers(0, 20),
+    activation_time=st.floats(0.0, 4.0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(["line3", "ieee14"]), seed=st.integers(0, 3),
+       deploy=st.fixed_dictionaries(_DEPLOY), attack=_ATTACK)
+def test_fuzzed_deployment_and_attack_end_audited_or_raise_scenario_error(
+    case, seed, deploy, attack
+):
+    if case == "ieee14":
+        base = load_scenario(str(ROOT / "scenarios" / "ieee14.ini"))
+    else:
+        base = ScenarioConfig(case_path=str(ROOT / "tests" / "data" / "line3.case"), d_km=50.0,
+                              curve="toy17", k_test=5)
+    cfg = dataclasses.replace(base, attack=attack, **deploy)
     try:
         run_simulation(cfg, seed)  # validates, runs and audits
     except ScenarioError:
