@@ -7,7 +7,8 @@ sequence numbers taken when it was planned, so the heap stays small and the
 firing order is the one scheduling each event at once would give.
 Batteries follow the first-order radio model; rechargeable nodes regain
 charge lazily, computed from elapsed time at the next access, which keeps
-the event queue free of housekeeping ticks.
+the event queue free of housekeeping ticks.  Positions never change, so the
+neighbor index lists each queried position's nodes in range once.
 """
 
 from __future__ import annotations
@@ -63,15 +64,13 @@ class EventQueue:
         feed.sort(key=itemgetter(0))
         feed.reverse()
         if feed:
-            self._feed_next(feed)
-
-    def _feed_next(self, feed: list) -> None:
-        fire_at, seq, fn, args = feed.pop()
-        self.schedule(fire_at, self._fire_fed, feed, fn, args, seq=seq)
+            fire_at, seq, fn, args = feed.pop()
+            self.schedule(fire_at, self._fire_fed, feed, fn, args, seq=seq)
 
     def _fire_fed(self, feed: list, fn, args: tuple) -> None:
         if feed:
-            self._feed_next(feed)
+            fire_at, seq, next_fn, next_args = feed.pop()
+            self.schedule(fire_at, self._fire_fed, feed, next_fn, next_args, seq=seq)
         fn(*args)
 
     def __len__(self) -> int:
@@ -80,9 +79,10 @@ class EventQueue:
 
     def run_all(self) -> int:
         """Drain the queue completely."""
+        heap, pop = self._heap, heapq.heappop
         count = 0
-        while self._heap:
-            fire_at, _, fn, args = heapq.heappop(self._heap)
+        while heap:
+            fire_at, _, fn, args = pop(heap)
             self.now = fire_at
             fn(*args)
             count += 1
@@ -152,7 +152,8 @@ class SimNode:
         self._last_refresh = max(self._last_refresh, now)
 
     def alive(self, now: float) -> bool:
-        self.refresh(now)
+        if self.rechargeable:
+            self.refresh(now)
         return self.battery_j > 0.0
 
     def spend(self, cost_j: float, now: float) -> bool:
@@ -161,7 +162,7 @@ class SimNode:
         A drained node, or one that cannot cover the cost, spends what it
         has left and fails; mains-powered nodes never run out.
         """
-        if self.rechargeable:
+        if self.rechargeable and now > self._last_refresh:
             self.refresh(now)
         if self.battery_j <= 0.0 or self.battery_j < cost_j:
             self.consumed_j += self.battery_j
@@ -212,6 +213,7 @@ class NeighborIndex:
         for node in nodes.values():
             if node.wireless:
                 self._cells.setdefault(self._cell(node.position), []).append(node)
+        self._in_range: dict[tuple[float, float], tuple[SimNode, ...]] = {}
 
     def _cell(self, pos: tuple[float, float]) -> tuple[int, int]:
         return (int(math.floor(pos[0] / self.cell_km)), int(math.floor(pos[1] / self.cell_km)))
@@ -219,14 +221,16 @@ class NeighborIndex:
     def alive_within(self, pos: tuple[float, float], now: float) -> list[SimNode]:
         """Alive wireless nodes within radio range of ``pos`` (boundary inclusive),
         ordered by id; a node at ``pos`` counts itself."""
-        cx, cy = self._cell(pos)
-        range_km = self.radio.range_km
-        found: list[SimNode] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for node in self._cells.get((cx + dx, cy + dy), ()):
-                    if math.hypot(node.position[0] - pos[0], node.position[1] - pos[1]) <= range_km:
-                        if node.alive(now):
+        near = self._in_range.get(pos)
+        if near is None:
+            cx, cy = self._cell(pos)
+            range_km = self.radio.range_km
+            found: list[SimNode] = []
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    for node in self._cells.get((cx + dx, cy + dy), ()):
+                        if math.hypot(node.position[0] - pos[0], node.position[1] - pos[1]) <= range_km:
                             found.append(node)
-        found.sort(key=lambda n: n.id)
-        return found
+            found.sort(key=lambda n: n.id)
+            near = self._in_range[pos] = tuple(found)
+        return [node for node in near if node.alive(now)]

@@ -2,8 +2,8 @@
 
 Wires topology, engine, crypto, protocol, and attacks into one seeded run:
 
-1. setup (attack-free): key agreement, key distribution over the optical
-   rings, trust bootstrap with test traffic through every candidate node,
+1. setup: key agreement, key distribution over the optical rings, trust
+   bootstrap with test traffic through every candidate node,
 2. election of cluster heads and first routes at the end of setup; each
    (gateway, kind) flow that carries readings is one ``Flow``: its pairwise
    key, its sink, its exclusions, and its route and that route's hop table
@@ -22,6 +22,9 @@ the same radio and energy model calls a hop would make.  A packet never
 changes size on its way (tampering keeps the ciphertext length), so a flow's
 table lives beside its route, each probe target's table is shared by its
 ``k_test`` probes, and a reroute request builds one for its reversed path.
+One event per hop, ``_walk``, lands the previous hop and sends the next.
+Only the plan's attackers are asked how they forward, from their activation
+time on, set-up included.
 """
 
 from __future__ import annotations
@@ -112,6 +115,8 @@ class Simulation:
             self.plan = apply_attack(cfg.attack, wireless_ids, relay_ids, self.rng_attack)
         except AttackError as exc:
             raise ScenarioError(f"[attack] {exc}") from None
+        # Only these nodes ever misbehave; the walk asks the plan about no other.
+        self._attackers = self.plan.blackholes | frozenset(self.plan.grayholes) | self.plan.tampers
 
         # Sensing plane: one measurement sensor per bus, a data unit per
         # substation, a phasor sensor at each placed bus.
@@ -285,10 +290,36 @@ class Simulation:
             hops.append((sender, receiver, self.energy.tx_cost_j(bits, dist_m), rx_j, latency_s))
         return tuple(hops)
 
-    def _transmit(self, pkt: Packet, idx: int) -> None:
-        """Send hop ``idx`` of ``pkt.hops``, paying transmit energy at the sender."""
-        sender, receiver, tx_j, _, latency_s = pkt.hops[idx]
+    def _walk(self, pkt: Packet, idx: int) -> None:
+        """Land hop ``idx - 1`` of ``pkt.hops`` when ``idx > 0``, paying receive
+        energy, then send hop ``idx``, paying transmit energy at the sender."""
+        hops = pkt.hops
         now = self.queue.now
+        if idx:
+            prev, node, _, rx_j, _ = hops[idx - 1]
+            if not node.spend(rx_j, now):
+                self._drop(pkt, prev.id, node.id, "dead_battery")
+                return
+            if self.trace is not None:
+                self._trace("recv", pkt, prev.id, node.id)
+            if idx == len(hops):
+                if node.id != pkt.dst:
+                    self._drop(pkt, prev.id, node.id, "no_route")
+                else:
+                    self._deliver(node, pkt)
+                return
+            # Attacks may be active during set-up, so probes pass this check too.
+            if node.id in self._attackers:
+                behavior = self.plan.behavior(node.id, now)
+                # A drop's cause is the behavior's name.
+                if behavior == "blackhole" or (
+                    behavior == "grayhole" and self.rng_attack.random() < self.plan.grayholes[node.id]
+                ):
+                    self._drop(pkt, node.id, pkt.dst, behavior)
+                    return
+                if behavior == "tamper" and pkt.ciphertext:
+                    pkt.ciphertext = tamper_bytes(pkt.ciphertext, self.rng_attack)
+        sender, receiver, tx_j, _, latency_s = hops[idx]
         if not sender.spend(tx_j, now):
             self._drop(pkt, sender.id, receiver.id, "dead_battery")
             return
@@ -298,36 +329,7 @@ class Simulation:
         # plane and earn no credit either way.
         if receiver.wireless and pkt.kind is not PacketKind.REROUTE:
             receiver.sent += 1
-        self.queue.schedule(now + latency_s, self._hop_arrive, pkt, idx + 1)
-
-    def _hop_arrive(self, pkt: Packet, idx: int) -> None:
-        """Hop ``idx - 1`` lands at ``pkt.path[idx]``, paying receive energy there."""
-        prev, node, _, rx_j, _ = pkt.hops[idx - 1]
-        now = self.queue.now
-        if not node.spend(rx_j, now):
-            self._drop(pkt, prev.id, node.id, "dead_battery")
-            return
-        if self.trace is not None:
-            self._trace("recv", pkt, prev.id, node.id)
-
-        if idx == len(pkt.hops):
-            if node.id != pkt.dst:
-                self._drop(pkt, prev.id, node.id, "no_route")
-                return
-            self._deliver(node, pkt)
-            return
-
-        behavior = self.plan.behavior(node.id, now) if node.wireless else None
-        if behavior == "blackhole":
-            self._drop(pkt, node.id, pkt.dst, "blackhole")
-            return
-        if behavior == "grayhole":
-            if self.rng_attack.random() < self.plan.grayholes[node.id]:
-                self._drop(pkt, node.id, pkt.dst, "grayhole")
-                return
-        elif behavior == "tamper" and pkt.ciphertext:
-            pkt.ciphertext = tamper_bytes(pkt.ciphertext, self.rng_attack)
-        self._transmit(pkt, idx)
+        self.queue.schedule(now + latency_s, self._walk, pkt, idx + 1)
 
     def _credit_path(self, pkt: Packet) -> None:
         for _, receiver, _, _, _ in pkt.hops:
@@ -373,7 +375,7 @@ class Simulation:
         back.hops = self._hop_table(back.path, back.size_bits())
         if self.trace is not None:
             self._trace("reroute", back, sink.id, pkt.src)
-        self._transmit(back, 0)
+        self._walk(back, 0)
 
     def _handle_reroute(self, gw_id: int, pkt: Packet) -> None:
         """The sink rejected reading ``pkt.ref``: route around the culprit and resend."""
@@ -416,7 +418,7 @@ class Simulation:
         if flow.hops is None:  # a new route; sealed readings all have one size
             flow.hops = self._hop_table(path, pkt.size_bits())
         pkt.hops = flow.hops
-        self._transmit(pkt, 0)
+        self._walk(pkt, 0)
 
     # ----- sensing plane -----
 
@@ -548,20 +550,14 @@ class Simulation:
                 mid = self._greedy(cand.position, sink, cand.role)
                 # With no chain onward, the walk stalls at the candidate.
                 path = (gw_id, cand.id) if mid is None else (gw_id, cand.id, *mid, sink.id)
-                args = (gw_id, sink.id, path, self._hop_table(path, bits))
+                args = (gw, sink.id, path, self._hop_table(path, bits))
                 for _ in range(self.cfg.k_test):
-                    yield self.rng_bootstrap.uniform(0.0, window), send, args
+                    # window * random() is what uniform(0.0, window) computes.
+                    yield window * self.rng_bootstrap.random(), send, args
 
-    def _send_test(self, gw_id: int, sink_id: int, path: tuple[int, ...], hops: tuple) -> None:
-        pkt = Packet(
-            seq=self._next_seq(gw_id),
-            src=gw_id,
-            dst=sink_id,
-            kind=PacketKind.TEST,
-            path=path,
-            hops=hops,
-        )
-        self._transmit(pkt, 0)
+    def _send_test(self, gw: SimNode, sink_id: int, path: tuple[int, ...], hops: tuple) -> None:
+        gw.seq += 1
+        self._walk(Packet(gw.seq, gw.id, sink_id, PacketKind.TEST, None, None, path, (), None, hops), 0)
 
     def _initial_election(self) -> None:
         for (gw_id, kind), flow in self.flows.items():

@@ -296,6 +296,19 @@ def test_revived_harvester_reappears_in_queries():
     assert [n.id for n in idx.alive_within((0.0, 0.0), now=2.0)] == [4]
 
 
+def test_a_repeated_query_sees_who_died_and_who_recharged_since():
+    radio = RadioModel(range_m=10_000.0, bitrate_bps=250_000.0, mac_overhead_s=0.002)
+    doomed = relay(1, (1.0, 0.0), battery=1.0)
+    revived = harvester(2, (0.0, 1.0), battery=0.5, cap=1.0, watts=0.1)
+    idx = NeighborIndex({1: doomed, 2: revived, 3: relay(3, (2.0, 0.0))}, radio)
+    assert [n.id for n in idx.alive_within((0.0, 0.0), now=0.0)] == [1, 2, 3]
+    assert not doomed.spend(2.0, now=1.0)  # drained for good
+    assert not revived.spend(2.0, now=1.0)  # drained, recharging at 0.1 W
+    assert [n.id for n in idx.alive_within((0.0, 0.0), now=1.0)] == [3]
+    assert [n.id for n in idx.alive_within((0.0, 0.0), now=3.0)] == [2, 3]
+    assert revived.battery_j == pytest.approx(0.2)
+
+
 @given(st.data())
 def test_neighbor_index_matches_linear_scan(data):
     n = data.draw(st.integers(1, 25))
@@ -311,12 +324,19 @@ def test_neighbor_index_matches_linear_scan(data):
         nodes, RadioModel(range_m=range_km * 1000.0, bitrate_bps=250_000.0, mac_overhead_s=0.002)
     )
     query = data.draw(st.tuples(st.floats(0, 200, allow_nan=False), st.floats(0, 200, allow_nan=False)))
-    got = [nd.id for nd in idx.alive_within(query, now=0.0)]
-    want = sorted(
-        nid for nid, nd in nodes.items()
-        if math.hypot(nd.position[0] - query[0], nd.position[1] - query[1]) <= range_km
-    )
-    assert got == want
+
+    def scan():
+        return sorted(
+            nid for nid, nd in nodes.items()
+            if nd.battery_j > 0.0
+            and math.hypot(nd.position[0] - query[0], nd.position[1] - query[1]) <= range_km
+        )
+
+    assert [nd.id for nd in idx.alive_within(query, now=0.0)] == scan()
+    # The same position again, after a drawn subset ran dry.
+    for nid in data.draw(st.sets(st.sampled_from(sorted(nodes)))):
+        nodes[nid].spend(math.inf, now=1.0)
+    assert [nd.id for nd in idx.alive_within(query, now=1.0)] == scan()
 
 
 def test_hop_latency_includes_mac_overhead():

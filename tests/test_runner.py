@@ -423,6 +423,33 @@ def test_grayhole_head_drops_what_it_forwards(scenarios_dir, p):
     assert sim.metrics.scada_dropped_grayhole == len(received)
 
 
+def test_an_attacker_active_during_set_up_drops_the_trust_probes(scenarios_dir):
+    """Every stored reference activates its attackers at the end of set-up;
+    here a blackhole relay is active from the start, so the probes sent
+    through it meet it as readings would."""
+    cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), duration_s=2.0)
+    clean = run_simulation(cfg)
+    # A SCADA head is a relay in its gateway's range, so the bootstrap probes it.
+    head = next(
+        flow.path[1] for (_, kind), flow in clean.flows.items()
+        if kind is PacketKind.SCADA and flow.path is not None
+    )
+    attacked = dataclasses.replace(
+        cfg, attack=AttackConfig(blackhole_nodes=frozenset({head}), activation_time=0.0)
+    )
+    trace = TraceLog()
+    sim = run_simulation(attacked, trace=trace)
+    node = sim.nodes[head]
+    assert node.sent > 0 and node.delivered == 0
+    assert sim.metrics.packet_drops_blackhole > 0
+    probe_drops = [
+        l for l in trace.lines
+        if " ev=drop " in l and f" src={head} " in l and l.endswith(" kind=test")
+    ]
+    assert probe_drops
+    assert all(float(l.split()[0][2:]) < cfg.setup_s for l in probe_drops)
+
+
 def test_tampering_harvester_is_rerouted_around_on_the_phasor_route(scenarios_dir):
     # At 12 km range gateway 3's phasor frames reach the PDC over a harvester.
     cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), range_m=12000.0)
@@ -487,13 +514,14 @@ def test_hop_tables_hold_the_per_hop_model_costs(scenarios_dir, monkeypatch):
         cfg, attack=AttackConfig(tamper_nodes=frozenset({phasor_path[1]}), activation_time=1.0)
     )
     walked = []
-    transmit = Simulation._transmit
+    walk = Simulation._walk
 
-    def recording_transmit(self, pkt, idx):
-        walked.append((self, pkt.kind, pkt.path, pkt.size_bits(), idx, pkt.hops[idx]))
-        transmit(self, pkt, idx)
+    def recording_walk(self, pkt, idx):
+        if idx < len(pkt.hops):  # hop idx is the one this event sends
+            walked.append((self, pkt.kind, pkt.path, pkt.size_bits(), idx, pkt.hops[idx]))
+        walk(self, pkt, idx)
 
-    monkeypatch.setattr(Simulation, "_transmit", recording_transmit)
+    monkeypatch.setattr(Simulation, "_walk", recording_walk)
     sim = run_simulation(attacked, seed=4)
     assert sim.metrics.reroutes >= 1
     radio, energy = attacked.radio(), attacked.energy()
