@@ -14,14 +14,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .crypto import CryptoError
-from .engine import EngineError
-from .metrics import AuditError, export_csv
+from .metrics import AuditError, MetricsRecord, export_csv
 from .runner import SWEEP_AXES, build_run_topology, run_scenario, sweep, sweep_fieldnames
-from .scenario import ScenarioError, load_scenario
-from .topology import CaseError, export_topology
+from .scenario import load_scenario
+from .topology import export_topology
 
-_INPUT_ERRORS = (ScenarioError, CaseError, CryptoError, EngineError, OSError, ValueError)
+# ScenarioError, CaseError, CryptoError and EngineError are all ValueErrors.
+_INPUT_ERRORS = (OSError, ValueError)
 
 
 def _int_list(text: str) -> list[int]:
@@ -68,7 +67,7 @@ def _cmd_run(args) -> int:
           f"tamper_rejections={record.tamper_rejections} "
           f"energy_j={record.energy_consumed_j:.3f}")
     if args.out:
-        export_csv([record.as_row()], args.out)
+        export_csv([record.as_row()], args.out, fieldnames=MetricsRecord.field_names())
     return 0
 
 

@@ -125,7 +125,12 @@ class ReadingLedger:
 
 
 def mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    # Left to right, as sum() added floats before Python 3.12 compensated it,
+    # so every supported interpreter gives the same row.
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else 0.0
 
 
 def p95(values: list[float]) -> float:
@@ -204,12 +209,8 @@ class TraceLog:
 # ===== CSV export =====
 
 
-def export_csv(rows: list[dict], path: str, fieldnames: list[str] | None = None) -> None:
+def export_csv(rows: list[dict], path: str, fieldnames: list[str]) -> None:
     """Write rows with a header; an empty table still gets its header row."""
-    if fieldnames is None:
-        if not rows:
-            raise ValueError("cannot infer CSV columns from an empty table")
-        fieldnames = list(rows[0].keys())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()

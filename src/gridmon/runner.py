@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .metrics import MetricsRecord, TraceLog
+from .metrics import MetricsRecord, TraceLog, mean
 from .scenario import ScenarioConfig, ScenarioError
 from .simulation import Simulation, child_rng
 from .topology import Topology, build_topology, load_power_case
@@ -64,6 +64,6 @@ def sweep(cfg: ScenarioConfig, axis: str, values: list[int], seeds: list[int]) -
         rows.extend(block)
         summary = {"axis": axis, "value": value, "seed": "mean"}
         for name in numeric:
-            summary[name] = sum(row[name] for row in block) / len(block)
+            summary[name] = mean([row[name] for row in block])
         rows.append(summary)
     return rows

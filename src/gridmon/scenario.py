@@ -3,7 +3,9 @@
 Every knob a run needs lives here; scenario files override only what they
 care about.  Unknown sections or keys are errors so typos cannot silently
 fall back to defaults.  Each field declares its section and the lower bound
-``validate()`` holds it to.
+``validate()`` holds it to; the ``[attack]`` keys are ``AttackConfig``'s
+fields.  One converter reads every value by its field's type: a number, a
+string, node ids (``7 3``) or grayhole ``id:prob`` pairs (``200:0.5``).
 """
 
 from __future__ import annotations
@@ -98,39 +100,24 @@ _FIELDS = {
 _SECTION_KEYS = {section: {k for s, k in _FIELDS if s == section} for section, _ in _FIELDS}
 
 
+# What a field type reads as, where its name does not say.
+_EXPECTED = {"frozenset[int]": "node ids", "tuple[tuple[int, float], ...]": "id:prob pairs"}
+
+
 def _convert(label: str, raw: str, kind: str):
+    """``raw`` as a value of the field type ``kind``."""
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
             return float(raw)
+        if kind == "frozenset[int]":
+            return frozenset(int(tok) for tok in raw.split())
+        if kind == "tuple[tuple[int, float], ...]":
+            return tuple((int(nid), float(prob)) for nid, prob in (tok.split(":") for tok in raw.split()))
         return raw
     except ValueError:
-        raise ScenarioError(f"{label} must be {kind}, got {raw!r}") from None
-
-
-def _parse_attack(section) -> AttackConfig:
-    """Only the keys given; ``AttackConfig`` holds the defaults."""
-    values = {}
-    for key in section:
-        raw, kind = section[key], _FIELDS["attack", key].type
-        if key == "grayhole":
-            pairs = []
-            for tok in raw.split():
-                try:
-                    nid, prob = tok.split(":")
-                    pairs.append((int(nid), float(prob)))
-                except ValueError:
-                    raise ScenarioError(f"[attack] grayhole entries are id:prob, got {tok!r}") from None
-            values[key] = tuple(pairs)
-        elif kind == "frozenset[int]":
-            try:
-                values[key] = frozenset(int(tok) for tok in raw.split())
-            except ValueError:
-                raise ScenarioError(f"[attack] {key} must be node ids, got {raw!r}") from None
-        else:
-            values[key] = _convert(f"[attack] {key}", raw, kind)
-    return AttackConfig(**values)
+        raise ScenarioError(f"{label} must be {_EXPECTED.get(kind, kind)}, got {raw!r}") from None
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -145,20 +132,19 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ScenarioError(f"{path}: {exc}") from None
 
     values: dict = {}
+    given: dict = {}  # the [attack] keys; AttackConfig holds the defaults
     for section in parser.sections():
         if section not in _SECTION_KEYS:
             raise ScenarioError(f"{path}: unknown section [{section}]")
         for key in parser[section]:
             if key not in _SECTION_KEYS[section]:
                 raise ScenarioError(f"{path}: unknown key {key!r} in [{section}]")
-        if section == "attack":
-            values["attack"] = _parse_attack(parser[section])
-            continue
+        into = given if section == "attack" else values
         for key in parser[section]:
             f = _FIELDS[section, key]
-            values[f.name] = _convert(f"[{section}] {key}", parser[section][key], f.type)
+            into[f.name] = _convert(f"[{section}] {key}", parser[section][key], f.type)
 
-    cfg = replace(ScenarioConfig(), **values)
+    cfg = ScenarioConfig(**values, attack=AttackConfig(**given))
     if cfg.case_path and not os.path.isabs(cfg.case_path):
         cfg = replace(cfg, case_path=os.path.normpath(
             os.path.join(os.path.dirname(os.path.abspath(path)), cfg.case_path)

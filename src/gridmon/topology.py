@@ -301,59 +301,13 @@ def place_pmus(case: PowerCase) -> list[int]:
 
 
 def region_centroid(case: PowerCase, region: Region) -> tuple[float, float]:
-    xs = [case.substations[sid].position[0] for sid in region.members]
-    ys = [case.substations[sid].position[1] for sid in region.members]
-    return (sum(xs) / len(xs), sum(ys) / len(ys))
-
-
-def deploy_nodes(
-    case: PowerCase,
-    regions: list[Region],
-    main_cc: int,
-    backup_cc: int,
-    relay_count: int,
-    ehrn_count: int,
-    rng: random.Random,
-) -> list[DeployedNode]:
-    """Place infrastructure deterministically and field nodes uniformly.
-
-    Gateways sit at their substation, one sink pair (RS + PDC) at each region
-    centroid, control-center gear at the CC substations.  Relays and
-    rechargeable relays are drawn uniformly over the substation bounding box
-    from ``rng``; infrastructure positions never depend on the seed.
-    """
-    region_of: dict[int, int] = {}
-    for region in regions:
-        for sid in region.members:
-            region_of[sid] = region.id
-
-    nodes: list[DeployedNode] = []
-    next_id = 1
-
-    def add(role, pos, substation=None, region=None):
-        nonlocal next_id
-        nodes.append(DeployedNode(next_id, role, pos, substation, region))
-        next_id += 1
-
-    for sid in sorted(case.substations):
-        add(Role.GATEWAY, case.substations[sid].position, substation=sid, region=region_of[sid])
-    for region in regions:
-        add(Role.RS, region_centroid(case, region), region=region.id)
-    for region in regions:
-        add(Role.PDC, region_centroid(case, region), region=region.id)
-    for sid in (main_cc, backup_cc):
-        add(Role.CC_GATEWAY, case.substations[sid].position, substation=sid, region=region_of[sid])
-    for sid in (main_cc, backup_cc):
-        add(Role.CC_SERVER, case.substations[sid].position, substation=sid, region=region_of[sid])
-
-    positions = [s.position for s in case.substations.values()]
-    x_lo, x_hi = min(p[0] for p in positions), max(p[0] for p in positions)
-    y_lo, y_hi = min(p[1] for p in positions), max(p[1] for p in positions)
-    for _ in range(relay_count):
-        add(Role.RELAY, (rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)))
-    for _ in range(ehrn_count):
-        add(Role.EHRN, (rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)))
-    return nodes
+    # Left to right, as sum() added floats before Python 3.12 compensated it.
+    x = y = 0.0
+    for sid in region.members:
+        px, py = case.substations[sid].position
+        x += px
+        y += py
+    return (x / len(region.members), y / len(region.members))
 
 
 def build_ring(
@@ -386,30 +340,51 @@ def build_topology(
     ehrn_count: int,
     rng: random.Random,
 ) -> Topology:
-    """Assemble the full infrastructure graph for a case."""
+    """Assemble the full infrastructure graph for a case.
+
+    Gateways sit at their substation, one sink pair (RS + PDC) at each region
+    centroid, control-center gear at the CC substations.  Relays, then
+    rechargeable relays, are drawn uniformly over the substation bounding box
+    from ``rng``; infrastructure positions never depend on the seed.
+    """
     main_cc, backup_cc = select_control_centers(case)
     regions = partition_regions(case, d_km)
-    pmu_buses = place_pmus(case)
-    nodes = deploy_nodes(case, regions, main_cc, backup_cc, relay_count, ehrn_count, rng)
+    region_of = {sid: region.id for region in regions for sid in region.members}
+    nodes: list[DeployedNode] = []
 
-    by_role: dict[Role, list[DeployedNode]] = {}
-    for n in nodes:
-        by_role.setdefault(n.role, []).append(n)
-    main_gw, backup_gw = by_role[Role.CC_GATEWAY]
-    main_srv, backup_srv = by_role[Role.CC_SERVER]
+    def add(role, pos, substation=None, region=None) -> DeployedNode:
+        nodes.append(DeployedNode(len(nodes) + 1, role, pos, substation, region))
+        return nodes[-1]
+
+    def at_substation(role, sid) -> DeployedNode:
+        return add(role, case.substations[sid].position, substation=sid, region=region_of[sid])
+
+    gateways = [at_substation(Role.GATEWAY, sid) for sid in sorted(case.substations)]
+    rs = [add(Role.RS, region_centroid(case, r), region=r.id) for r in regions]
+    pdc = [add(Role.PDC, region_centroid(case, r), region=r.id) for r in regions]
+    main_gw, backup_gw = [at_substation(Role.CC_GATEWAY, sid) for sid in (main_cc, backup_cc)]
+    main_srv, backup_srv = [at_substation(Role.CC_SERVER, sid) for sid in (main_cc, backup_cc)]
+
+    positions = [s.position for s in case.substations.values()]
+    x_lo, x_hi = min(p[0] for p in positions), max(p[0] for p in positions)
+    y_lo, y_hi = min(p[1] for p in positions), max(p[1] for p in positions)
+    for role, count in ((Role.RELAY, relay_count), (Role.EHRN, ehrn_count)):
+        for _ in range(count):
+            add(role, (rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)))
+
     return Topology(
         case=case,
         d_km=d_km,
         main_cc=main_cc,
         backup_cc=backup_cc,
         regions=regions,
-        pmu_buses=pmu_buses,
+        pmu_buses=place_pmus(case),
         nodes=nodes,
-        rs_ring=build_ring(main_gw, backup_gw, by_role[Role.RS]),
-        pdc_ring=build_ring(main_gw, backup_gw, by_role[Role.PDC]),
-        gateway_of_substation={n.substation: n.id for n in by_role[Role.GATEWAY]},
-        rs_of_region={n.region: n.id for n in by_role[Role.RS]},
-        pdc_of_region={n.region: n.id for n in by_role[Role.PDC]},
+        rs_ring=build_ring(main_gw, backup_gw, rs),
+        pdc_ring=build_ring(main_gw, backup_gw, pdc),
+        gateway_of_substation={n.substation: n.id for n in gateways},
+        rs_of_region={n.region: n.id for n in rs},
+        pdc_of_region={n.region: n.id for n in pdc},
         cc_gateways=(main_gw.id, backup_gw.id),
         cc_servers=(main_srv.id, backup_srv.id),
     )

@@ -143,6 +143,9 @@ def test_summarize_separates_kinds():
 def test_mean_and_p95_basics():
     assert mean([]) == 0.0 and p95([]) == 0.0
     assert mean([2.0, 4.0]) == 3.0
+    # Added left to right, on every interpreter: a compensated sum
+    # (Python 3.12's sum()) would keep the 1.0 and give 1/3.
+    assert mean([1e16, 1.0, -1e16]) == 0.0
     assert p95([5.0]) == 5.0
     values = [float(i) for i in range(1, 101)]  # 1..100
     assert p95(values) == 95.0  # ceil(0.95 * 100) - 1 = index 94
@@ -197,7 +200,7 @@ def test_csv_roundtrip(tmp_path):
         {"axis": "compromised", "value": 8, "seed": 1, "delivery_ratio": 0.91},
     ]
     path = tmp_path / "rows.csv"
-    export_csv(rows, str(path))
+    export_csv(rows, str(path), fieldnames=["axis", "value", "seed", "delivery_ratio"])
     back = read_csv(str(path))
     assert [r["value"] for r in back] == ["4", "8"]  # csv is stringly typed
     assert float(back[0]["delivery_ratio"]) == 0.97
@@ -207,5 +210,3 @@ def test_csv_header_only_when_fieldnames_given(tmp_path):
     path = tmp_path / "empty.csv"
     export_csv([], str(path), fieldnames=["a", "b"])
     assert path.read_text().strip() == "a,b"
-    with pytest.raises(ValueError):
-        export_csv([], str(tmp_path / "nope.csv"))

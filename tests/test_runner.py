@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import hashlib
 import math
 import random
 import re
@@ -118,6 +119,21 @@ def test_attack_node_lists_parse_to_frozensets(tmp_path, key):
     ini.write_text(f"[case]\npath = x.case\n[attack]\n{key} = 3 x\n")
     with pytest.raises(ScenarioError, match=rf"\[attack\] {key} must be node ids"):
         load_scenario(str(ini))
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("grayhole", "200=0.5", "id:prob pairs"),
+    ("grayhole", "200:x", "id:prob pairs"),
+    ("grayhole", "200:0.5:1", "id:prob pairs"),
+    ("compromised_count", "many", "int"),
+    ("activation_time", "soon", "float"),
+])
+def test_malformed_attack_values_name_the_key_and_what_was_expected(tmp_path, key, value, expected):
+    ini = tmp_path / "a.ini"
+    ini.write_text(f"[case]\npath = x.case\n[attack]\n{key} = {value}\n")
+    with pytest.raises(ScenarioError, match=rf"^\[attack\] {key} must be {expected}, got '{re.escape(value)}'$"):
+        load_scenario(str(ini))
+
 
 def test_scenario_error_cases(tmp_path):
     missing = tmp_path / "absent.ini"
@@ -740,6 +756,23 @@ def test_cli_topology_exports_edges(scenarios_dir, tmp_path):
     def relays(path):
         return [l for l in path.read_text().splitlines() if " relay " in l]
     assert relays(out) and relays(moved) != relays(out)
+
+
+@pytest.mark.parametrize("scenario, seed, digest", [
+    ("ieee14", 1, "a4963712b6d6f2c27758d60edef1f088a2bd8248c79d5f0036625959f891258d"),
+    ("ieee14", 7, "13c784c5b40ae0591f24a42435d024ab28ed43f0bd308493f43ad625a668bcd8"),
+    ("ieee118", 1, "1d3dadd916ba78dd1789bbc1310fe14803fd85a1f32de1d95bc50addf4bb97f0"),
+    ("ieee118", 7, "291a8d53b77adc709f312c99a1956e3def9f5c27d26518bbbea8ad9110ff4e49"),
+])
+def test_exported_topology_is_pinned(scenarios_dir, tmp_path, scenario, seed, digest):
+    """Every node's id, role and position, the rings and the serving edges.
+    The header's case path is cut to its file name, so the checkout's
+    location does not enter the digest."""
+    cfg = load_scenario(str(scenarios_dir / f"{scenario}.ini"))
+    out = tmp_path / "topo.txt"
+    export_topology(build_run_topology(cfg, seed), str(out))
+    data = out.read_bytes().replace(cfg.case_path.encode(), Path(cfg.case_path).name.encode())
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_cli_input_errors_exit_1(tmp_path, data_dir, capsys):
