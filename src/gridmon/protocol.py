@@ -45,15 +45,13 @@ class Packet:
     kind: PacketKind
     ciphertext: bytes | None = None
     tag: bytes | None = None
-    path: tuple[int, ...] = ()
-    reading_ids: tuple[int, ...] = ()   # simulation bookkeeping, not wire data
-    ref: int | None = None              # reroute: id of the rejected reading
-    hops: tuple = ()                    # the path's hop table, for this packet's size
+    reading: SensorReading | None = None  # the one it carries or names; bookkeeping, not wire data
+    hops: tuple = ()                      # its route's hop table, for this packet's size
 
     def size_bits(self) -> int:
         size = HEADER_BYTES + len(self.ciphertext or b"") + len(self.tag or b"")
-        if self.ref is not None:
-            size += 8
+        if self.kind is PacketKind.REROUTE:
+            size += 8  # the rejected reading's id
         return size * 8
 
 
@@ -61,6 +59,8 @@ class Packet:
 
 _READING_FMT = "<BHIdd"  # kind, bus, reading id, timestamp, value
 READING_BYTES = struct.calcsize(_READING_FMT)
+# A sealed reading on the air: header, RC5-CTR ciphertext, HMAC-SHA256 tag.
+SEALED_READING_BITS = 8 * (HEADER_BYTES + READING_BYTES + 32)
 _KIND_CODE = {PacketKind.SCADA: 0, PacketKind.PMU: 1}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 

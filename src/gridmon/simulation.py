@@ -6,8 +6,8 @@ Wires topology, engine, crypto, protocol, and attacks into one seeded run:
    bootstrap with test traffic through every candidate node,
 2. election of cluster heads and first routes at the end of setup; each
    (gateway, kind) flow that carries readings is one ``Flow``: its pairwise
-   key, its sink, its exclusions, and its route and that route's hop table
-   until a reroute,
+   key, its sink, its exclusions, and its route, kept as the route's hop
+   table until a reroute,
 3. measured traffic for the configured duration (event-driven readings plus
    fixed-rate phasor frames), windows aggregated at the sinks and sealed to
    the control centers over the ring,
@@ -16,13 +16,15 @@ Wires topology, engine, crypto, protocol, and attacks into one seeded run:
 Separate named child seeds drive deployment, traffic, attacks, bootstrap
 jitter, and key generation, so e.g. attack selection never perturbs traffic.
 
-A wireless packet walks a hop table: per hop its sender, receiver, transmit
-and receive energy and latency, computed once per (path, packet size) from
+A route is its hop table: per hop the sending and receiving node, transmit
+and receive energy and latency, computed once per (route, packet size) from
 the same radio and energy model calls a hop would make.  A packet never
 changes size on its way (tampering keeps the ciphertext length), so a flow's
-table lives beside its route, each probe target's table is shared by its
-``k_test`` probes, and a reroute request builds one for its reversed path.
-One event per hop, ``_walk``, lands the previous hop and sends the next.
+route is one table for a sealed reading's size, each probe target's table is
+shared by its ``k_test`` probes, and a reroute request builds one for the
+data packet's hops reversed.  Sensor, data and reroute packets carry their
+``SensorReading``.  One event per hop, ``_walk``, lands the previous hop and
+sends the next.
 Only the plan's attackers are asked how they forward, from their activation
 time on, set-up included.
 """
@@ -66,8 +68,7 @@ class Flow:
     key: bytes  # pairwise with the sink
     sink: SimNode
     excluded: set[int] = field(default_factory=set)  # for good
-    path: tuple[int, ...] | None = None  # until a reroute request
-    hops: tuple | None = None  # the path's hop table
+    hops: tuple | None = None  # the route, as its hop table, until a reroute request
 
 
 class Simulation:
@@ -192,8 +193,9 @@ class Simulation:
         if self.trace is not None:
             self._trace("drop", pkt, at_src, at_dst)
         self.packet_drops[cause] += 1
-        if pkt.reading_ids:
-            self.ledger.dropped(pkt.reading_ids, cause)
+        # A lost reroute request's reading is already dropped as rejected.
+        if pkt.reading is not None:
+            self.ledger.dropped([pkt.reading.id], cause)
 
     def _connectivity(self, node: SimNode) -> int:
         cached = self._cn_cache.get(node.id)
@@ -206,10 +208,10 @@ class Simulation:
 
     # ----- routing -----
 
-    def _greedy(self, start_pos, target: SimNode, role: Role, excluded=frozenset()) -> list[int] | None:
-        """Greedy geographic chain of ``role`` nodes toward ``target``, avoiding ``excluded``.
+    def _greedy(self, start_pos, target: SimNode, role: Role, excluded=frozenset()) -> list[SimNode] | None:
+        """Greedy geographic chain of ``role`` nodes toward ``target``, avoiding ``excluded`` ids.
 
-        Returns intermediate node ids (possibly empty if the target is in
+        Returns the intermediate nodes (possibly none if the target is in
         range), or None when progress stalls.  Every step strictly cuts the
         distance to the target, so no node on the chain, nor one at the start,
         can be picked twice.
@@ -217,11 +219,11 @@ class Simulation:
         now = self.queue.now
         range_km = self.radio.range_km
         pos = start_pos
-        hops: list[int] = []
+        chain: list[SimNode] = []
         for _ in range(_MAX_GREEDY_HOPS):
             here = distance(pos, target.position)
             if here <= range_km:
-                return hops
+                return chain
             best, best_d = None, here
             # Candidates come in id order, so a tie on distance keeps the lower id.
             for cand in self.index.alive_within(pos, now):
@@ -232,27 +234,27 @@ class Simulation:
                     best, best_d = cand, d
             if best is None:
                 return None
-            hops.append(best.id)
+            chain.append(best)
             pos = best.position
         return None
 
-    def _route(self, gw_id: int, kind: PacketKind, flow: Flow) -> tuple[int, ...] | None:
-        """The flow's stored route, or a new one stored until a reroute request.
+    def _route(self, gw_id: int, kind: PacketKind, flow: Flow) -> tuple | None:
+        """The flow's stored hop table, or a new route's, stored until a reroute request.
 
         SCADA elects a head among the relays in range that the flow has not
         excluded, then walks relays greedily from it excluding nothing: an
         excluded relay never heads again but may still relay further on.
         Phasor frames walk harvesters from the gateway, avoiding all excluded.
         """
-        if flow.path is not None:
-            return flow.path
+        if flow.hops is not None:
+            return flow.hops
         gw = self.nodes[gw_id]
         sink, excluded = flow.sink, flow.excluded
-        path = None
+        route = None
         if kind is PacketKind.PMU:
             mid = self._greedy(gw.position, sink, Role.EHRN, excluded)
             if mid is not None:
-                path = (gw_id, *mid, sink.id)
+                route = (gw, *mid, sink)
         else:
             scores: dict[int, float] = {}
             for cand in self.index.alive_within(gw.position, self.queue.now):
@@ -268,24 +270,25 @@ class Simulation:
                 head = protocol.elect_cluster_head(scores)
                 if head is None:
                     break
-                mid = self._greedy(self.nodes[head].position, sink, Role.RELAY)
+                head_node = self.nodes[head]
+                mid = self._greedy(head_node.position, sink, Role.RELAY)
                 if mid is not None:
-                    path = (gw_id, head, *mid, sink.id)
+                    route = (gw, head_node, *mid, sink)
                     break
                 del scores[head]
-        flow.path = path
-        return path
+        if route is not None:
+            flow.hops = self._hop_table(route, protocol.SEALED_READING_BITS)
+        return flow.hops
 
     # ----- wireless walk -----
 
-    def _hop_table(self, path: tuple[int, ...], bits: int) -> tuple:
-        """Hop i of a ``bits``-bit packet along ``path``: (sender, receiver,
-        transmit J, receive J, latency s)."""
+    def _hop_table(self, route, bits: int) -> tuple:
+        """Hop i of a ``bits``-bit packet along the nodes of ``route``:
+        (sender, receiver, transmit J, receive J, latency s)."""
         rx_j = self.energy.rx_cost_j(bits)
         latency_s = self.radio.hop_latency_s(bits)
         hops = []
-        for a, b in zip(path, path[1:]):
-            sender, receiver = self.nodes[a], self.nodes[b]
+        for sender, receiver in zip(route, route[1:]):
             dist_m = distance(sender.position, receiver.position) * 1000.0
             hops.append((sender, receiver, self.energy.tx_cost_j(bits, dist_m), rx_j, latency_s))
         return tuple(hops)
@@ -363,62 +366,43 @@ class Simulation:
         self.tamper_rejections += 1
         if self.trace is not None:
             self._trace("reject", pkt, pkt.src, sink.id)
-        self.ledger.dropped(pkt.reading_ids, "rejected")
-        back = Packet(
-            seq=self._next_seq(sink.id),
-            src=sink.id,
-            dst=pkt.src,
-            kind=PacketKind.REROUTE,
-            path=tuple(reversed(pkt.path)),
-            ref=pkt.reading_ids[0],
-        )
-        back.hops = self._hop_table(back.path, back.size_bits())
+        self.ledger.dropped([pkt.reading.id], "rejected")
+        back = Packet(self._next_seq(sink.id), sink.id, pkt.src, PacketKind.REROUTE, reading=pkt.reading)
+        # Back along the data packet's hops, from the sink.
+        back.hops = self._hop_table((sink, *(hop[0] for hop in reversed(pkt.hops))), back.size_bits())
         if self.trace is not None:
             self._trace("reroute", back, sink.id, pkt.src)
         self._walk(back, 0)
 
     def _handle_reroute(self, gw_id: int, pkt: Packet) -> None:
-        """The sink rejected reading ``pkt.ref``: route around the culprit and resend."""
+        """The sink rejected ``pkt.reading``: route around the culprit and resend."""
         self.reroutes += 1
-        state = self.ledger.entries[pkt.ref]
-        flow = self.flows[(gw_id, state.reading.kind)]
-        # The first relay or harvester past the gateway takes the blame; only
-        # a node mid-path tampers, so there always is one.
-        flow.excluded.add(pkt.path[-2])
-        flow.path = flow.hops = None
-        if state.retransmits < _MAX_RETRANSMITS:
-            self.ledger.resent(pkt.ref)
-            self._dispatch(gw_id, state.reading)
+        reading = pkt.reading
+        flow = self.flows[(gw_id, reading.kind)]
+        # The first relay or harvester past the gateway, the request's last
+        # sender, takes the blame; only a node mid-route tampers, so there is one.
+        flow.excluded.add(pkt.hops[-1][0].id)
+        flow.hops = None
+        if self.ledger.entries[reading.id].retransmits < _MAX_RETRANSMITS:
+            self.ledger.resent(reading.id)
+            self._dispatch(gw_id, reading)
 
     # ----- gateway side -----
 
     def _dispatch(self, gw_id: int, reading: SensorReading) -> None:
         kind = reading.kind
         flow = self.flows[(gw_id, kind)]
-        path = self._route(gw_id, kind, flow)
+        hops = self._route(gw_id, kind, flow)
         seq = self._next_seq(gw_id)
-        if path is None:
-            doomed = Packet(seq, gw_id, flow.sink.id, kind, reading_ids=(reading.id,))
+        if hops is None:
+            doomed = Packet(seq, gw_id, flow.sink.id, kind, reading=reading)
             self._drop(doomed, gw_id, flow.sink.id, "no_route")
             return
         ciphertext, tag = protocol.seal(
             flow.key, self.group_key, seq, protocol.serialize_reading(reading),
             memo=self._crypto_memo,
         )
-        pkt = Packet(
-            seq=seq,
-            src=gw_id,
-            dst=path[-1],
-            kind=kind,
-            ciphertext=ciphertext,
-            tag=tag,
-            path=path,
-            reading_ids=(reading.id,),
-        )
-        if flow.hops is None:  # a new route; sealed readings all have one size
-            flow.hops = self._hop_table(path, pkt.size_bits())
-        pkt.hops = flow.hops
-        self._walk(pkt, 0)
+        self._walk(Packet(seq, gw_id, flow.sink.id, kind, ciphertext, tag, reading, hops), 0)
 
     # ----- sensing plane -----
 
@@ -438,7 +422,7 @@ class Simulation:
             self._reading_seq, kind, bus, substation, now, self.rng_traffic.random()
         )
         self.ledger.generated(reading)
-        pkt = Packet(reading.id, route[0], route[-1], kind)
+        pkt = Packet(reading.id, route[0], route[-1], kind, reading=reading)
         self._wired_send(pkt, route, 0, self.cfg.intra_substation_latency_s)
         nxt = now + self._gap(kind)
         if nxt < self._traffic_end:
@@ -465,8 +449,7 @@ class Simulation:
         elif kind is PacketKind.AGGREGATE:
             self._server_receive(node_id, pkt)
         elif kind is not PacketKind.KEYDIST:
-            # A sensor packet's seq is its reading id.
-            self._dispatch(node_id, self.ledger.entries[pkt.seq].reading)
+            self._dispatch(node_id, pkt.reading)
 
     def _ring_route(self, ring: list[int], from_id: int, to_id: int) -> list[int]:
         i, j = ring.index(from_id), ring.index(to_id)
@@ -549,15 +532,15 @@ class Simulation:
                 sink = flow.sink
                 mid = self._greedy(cand.position, sink, cand.role)
                 # With no chain onward, the walk stalls at the candidate.
-                path = (gw_id, cand.id) if mid is None else (gw_id, cand.id, *mid, sink.id)
-                args = (gw, sink.id, path, self._hop_table(path, bits))
+                route = (gw, cand) if mid is None else (gw, cand, *mid, sink)
+                args = (gw, sink.id, self._hop_table(route, bits))
                 for _ in range(self.cfg.k_test):
                     # window * random() is what uniform(0.0, window) computes.
                     yield window * self.rng_bootstrap.random(), send, args
 
-    def _send_test(self, gw: SimNode, sink_id: int, path: tuple[int, ...], hops: tuple) -> None:
+    def _send_test(self, gw: SimNode, sink_id: int, hops: tuple) -> None:
         gw.seq += 1
-        self._walk(Packet(gw.seq, gw.id, sink_id, PacketKind.TEST, None, None, path, (), None, hops), 0)
+        self._walk(Packet(gw.seq, gw.id, sink_id, PacketKind.TEST, None, None, None, hops), 0)
 
     def _initial_election(self) -> None:
         for (gw_id, kind), flow in self.flows.items():

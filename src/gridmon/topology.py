@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import random
 from dataclasses import dataclass
 
@@ -396,7 +397,7 @@ def export_topology(topo: Topology, path: str) -> None:
     Node lines carry role and position; edge lines carry the link kind.
     Wireless links are range-dependent and therefore not listed.
     """
-    lines = [f"# topology for {topo.case.name}"]
+    lines = [f"# topology for {os.path.basename(topo.case.name)}"]
     lines.append(
         f"# main_cc={topo.main_cc} backup_cc={topo.backup_cc} "
         f"regions={len(topo.regions)} d_km={topo.d_km:g}"

@@ -31,3 +31,16 @@ def scenarios_dir() -> Path:
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return Path(__file__).resolve().parent / "data"
+
+
+def _route_ids(hops):
+    """The node ids a hop table walks, first sender to last receiver; None for no table."""
+    if hops is None:
+        return None
+    return (hops[0][0].id, *(hop[1].id for hop in hops))
+
+
+@pytest.fixture(scope="session")
+def route_of():
+    """A route as node ids, read from its hop table (a ``Flow``'s or a ``Packet``'s)."""
+    return _route_ids

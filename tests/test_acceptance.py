@@ -249,7 +249,7 @@ def test_criterion_4_tamper_detection_completeness():
 # (fast criteria first; the long simulations close the file)
 
 
-def test_criterion_7_reroute_liveness(data_dir, tmp_path):
+def test_criterion_7_reroute_liveness(data_dir, tmp_path, route_of):
     import dataclasses
 
     from gridmon.metrics import TraceLog
@@ -273,8 +273,8 @@ def test_criterion_7_reroute_liveness(data_dir, tmp_path):
     # Dry run with no adversary to learn which relay heads the cluster.
     clean = run_simulation(cfg)
     clean_heads = {
-        flow.path[1] for (_, kind), flow in clean.flows.items()
-        if kind is PacketKind.SCADA and flow.path is not None
+        route_of(flow.hops)[1] for (_, kind), flow in clean.flows.items()
+        if kind is PacketKind.SCADA and flow.hops is not None
     }
     assert len(clean_heads) == 1, f"expected one shared head, saw {clean_heads}"
     villain = clean_heads.pop()
@@ -294,8 +294,8 @@ def test_criterion_7_reroute_liveness(data_dir, tmp_path):
     sent, delivered = sim.nodes[villain].sent, sim.nodes[villain].delivered
     final_trust = trust_value(delivered, sent)
     heads = {
-        flow.path[1] for (_, kind), flow in sim.flows.items()
-        if kind is PacketKind.SCADA and flow.path is not None
+        route_of(flow.hops)[1] for (_, kind), flow in sim.flows.items()
+        if kind is PacketKind.SCADA and flow.hops is not None
     }
     excluded = set().union(
         *(flow.excluded for (_, kind), flow in sim.flows.items() if kind is PacketKind.SCADA)

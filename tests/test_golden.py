@@ -75,7 +75,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_run(name, scenarios_dir, tmp_path):
+def test_golden_run(name, scenarios_dir, tmp_path, route_of):
     overrides, attack, seed, want_sha, want_row = GOLDEN[name]
     cfg = load_scenario(str(scenarios_dir / "ieee14.ini"))
     cfg = replace(cfg, attack=replace(cfg.attack, **attack), **overrides)
@@ -87,6 +87,6 @@ def test_golden_run(name, scenarios_dir, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want_sha
     if name == "starved":
         assert any(
-            len(flow.path or ()) > 2 for (_, kind), flow in sim.flows.items()
+            len(route_of(flow.hops) or ()) > 2 for (_, kind), flow in sim.flows.items()
             if kind is PacketKind.PMU
         )

@@ -331,5 +331,11 @@ def test_packet_size_accounts_for_payload_and_reroute_ref():
     assert pkt.size_bits() == (HEADER_BYTES + 23 + 32) * 8
     bare = Packet(seq=1, src=2, dst=3, kind=PacketKind.TEST)
     assert bare.size_bits() == HEADER_BYTES * 8
-    rr = Packet(seq=2, src=3, dst=2, kind=PacketKind.REROUTE, ref=9)
+    # A reroute request carries the rejected reading's 8-byte id.
+    rr = Packet(seq=2, src=3, dst=2, kind=PacketKind.REROUTE)
     assert rr.size_bits() == (HEADER_BYTES + 8) * 8
+    # A flow's hop table is built for this size before any reading is sealed.
+    reading = SensorReading(7, PacketKind.PMU, 4, 2, 1.5, 0.25)
+    ciphertext, tag = seal(KEY_A, KEY_B, 7, serialize_reading(reading))
+    sealed = Packet(seq=7, src=2, dst=3, kind=PacketKind.PMU, ciphertext=ciphertext, tag=tag)
+    assert sealed.size_bits() == protocol.SEALED_READING_BITS

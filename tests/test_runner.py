@@ -412,12 +412,12 @@ def test_a_run_computes_each_keystream_once_and_each_open_reuses_one(
 
 
 @pytest.mark.parametrize("p", [1.0, 0.0])
-def test_grayhole_head_drops_what_it_forwards(scenarios_dir, p):
+def test_grayhole_head_drops_what_it_forwards(scenarios_dir, p, route_of):
     cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), duration_s=4.0)
     clean = run_simulation(cfg)
     head = next(
-        flow.path[1] for (_, kind), flow in clean.flows.items()
-        if kind is PacketKind.SCADA and flow.path is not None
+        route_of(flow.hops)[1] for (_, kind), flow in clean.flows.items()
+        if kind is PacketKind.SCADA and flow.hops is not None
     )
     # Active from the election on, so the trust bootstrap and the heads match the clean run.
     attacked = dataclasses.replace(
@@ -439,7 +439,7 @@ def test_grayhole_head_drops_what_it_forwards(scenarios_dir, p):
     assert sim.metrics.scada_dropped_grayhole == len(received)
 
 
-def test_an_attacker_active_during_set_up_drops_the_trust_probes(scenarios_dir):
+def test_an_attacker_active_during_set_up_drops_the_trust_probes(scenarios_dir, route_of):
     """Every stored reference activates its attackers at the end of set-up;
     here a blackhole relay is active from the start, so the probes sent
     through it meet it as readings would."""
@@ -447,8 +447,8 @@ def test_an_attacker_active_during_set_up_drops_the_trust_probes(scenarios_dir):
     clean = run_simulation(cfg)
     # A SCADA head is a relay in its gateway's range, so the bootstrap probes it.
     head = next(
-        flow.path[1] for (_, kind), flow in clean.flows.items()
-        if kind is PacketKind.SCADA and flow.path is not None
+        route_of(flow.hops)[1] for (_, kind), flow in clean.flows.items()
+        if kind is PacketKind.SCADA and flow.hops is not None
     )
     attacked = dataclasses.replace(
         cfg, attack=AttackConfig(blackhole_nodes=frozenset({head}), activation_time=0.0)
@@ -466,11 +466,11 @@ def test_an_attacker_active_during_set_up_drops_the_trust_probes(scenarios_dir):
     assert all(float(l.split()[0][2:]) < cfg.setup_s for l in probe_drops)
 
 
-def test_tampering_harvester_is_rerouted_around_on_the_phasor_route(scenarios_dir):
+def test_tampering_harvester_is_rerouted_around_on_the_phasor_route(scenarios_dir, route_of):
     # At 12 km range gateway 3's phasor frames reach the PDC over a harvester.
     cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), range_m=12000.0)
     clean = run_simulation(cfg, seed=4)
-    route = {f: flow.path for f, flow in clean.flows.items() if flow.path is not None}
+    route = {f: route_of(flow.hops) for f, flow in clean.flows.items() if flow.hops is not None}
     flows = [f for f, path in route.items() if f[1] is PacketKind.PMU and len(path) > 2]
     assert flows, "expected a phasor route over a harvester"
     rerouted = flows[0]
@@ -482,11 +482,11 @@ def test_tampering_harvester_is_rerouted_around_on_the_phasor_route(scenarios_di
     sim = run_simulation(attacked, seed=4)
     record = sim.metrics
     assert sim.flows[rerouted].excluded == {villain}
-    assert sim.flows[rerouted].path not in (None, route[rerouted])
+    assert route_of(sim.flows[rerouted].hops) not in (None, route[rerouted])
     # The reroute touches its own flow only: every other flow keeps the
     # clean run's route and excludes nothing.
     others = set(route) - {rerouted}
-    assert {f: sim.flows[f].path for f in others} == {f: route[f] for f in others}
+    assert {f: route_of(sim.flows[f].hops) for f in others} == {f: route[f] for f in others}
     assert all(not flow.excluded for f, flow in sim.flows.items() if f != rerouted)
     assert record.tamper_rejections == record.reroutes >= 1
     assert record.retransmissions == record.reroutes
@@ -514,44 +514,52 @@ def test_a_trust_probe_with_no_chain_onward_is_dropped_no_route(scenarios_dir):
     for kind in (PacketKind.SCADA, PacketKind.PMU):
         assert sim.ledger.summarize(kind)["drops"]["no_route"] == 0
 
-def test_hop_tables_hold_the_per_hop_model_costs(scenarios_dir, monkeypatch):
+def test_hop_tables_hold_the_per_hop_model_costs(scenarios_dir, monkeypatch, route_of):
     """Every hop walked, by probes, readings and a reroute request on the
-    reversed path, pays exactly what the radio and energy models give for
-    that packet's current size over that hop."""
+    reversed route, pays exactly what the radio and energy models give for
+    that packet's current size over that hop, and every table chains the
+    run's own nodes from the packet's source on."""
     cfg = dataclasses.replace(
         load_scenario(str(scenarios_dir / "ieee14.ini")), range_m=12000.0, duration_s=2.0
     )
     clean = run_simulation(cfg, seed=4)
-    phasor_path = next(
-        flow.path for (_, kind), flow in clean.flows.items()
-        if kind is PacketKind.PMU and len(flow.path or ()) > 2
+    phasor_route = next(
+        route_of(flow.hops) for (_, kind), flow in clean.flows.items()
+        if kind is PacketKind.PMU and len(route_of(flow.hops) or ()) > 2
     )
     attacked = dataclasses.replace(
-        cfg, attack=AttackConfig(tamper_nodes=frozenset({phasor_path[1]}), activation_time=1.0)
+        cfg, attack=AttackConfig(tamper_nodes=frozenset({phasor_route[1]}), activation_time=1.0)
     )
     walked = []
     walk = Simulation._walk
 
     def recording_walk(self, pkt, idx):
         if idx < len(pkt.hops):  # hop idx is the one this event sends
-            walked.append((self, pkt.kind, pkt.path, pkt.size_bits(), idx, pkt.hops[idx]))
+            walked.append((self, pkt.kind, pkt.src, pkt.dst, pkt.hops, pkt.size_bits(), idx))
         walk(self, pkt, idx)
 
     monkeypatch.setattr(Simulation, "_walk", recording_walk)
     sim = run_simulation(attacked, seed=4)
     assert sim.metrics.reroutes >= 1
     radio, energy = attacked.radio(), attacked.energy()
-    for walker, kind, path, bits, idx, hop in walked:
+    for walker, kind, src, dst, hops, bits, idx in walked:
         assert walker is sim
-        sender, receiver = sim.nodes[path[idx]], sim.nodes[path[idx + 1]]
+        sender, receiver, *costs = hops[idx]
+        assert sim.nodes[sender.id] is sender and sim.nodes[receiver.id] is receiver
         dist_m = distance(sender.position, receiver.position) * 1000.0
         want = (energy.tx_cost_j(bits, dist_m), energy.rx_cost_j(bits), radio.hop_latency_s(bits))
-        assert hop[0] is sender and hop[1] is receiver
-        assert [x.hex() for x in hop[2:]] == [x.hex() for x in want]
+        assert [x.hex() for x in costs] == [x.hex() for x in want]
+        assert hops[0][0].id == src
+        assert all(hop[1] is nxt[0] for hop, nxt in zip(hops, hops[1:]))
+        if kind is not PacketKind.TEST:  # a probe may stall at its candidate
+            assert hops[-1][1].id == dst
     kinds = {kind for _, kind, *_ in walked}
     assert kinds == {PacketKind.TEST, PacketKind.SCADA, PacketKind.PMU, PacketKind.REROUTE}
-    data_paths = {path for _, kind, path, *_ in walked if kind is PacketKind.PMU}
-    assert all(path[::-1] in data_paths for _, kind, path, *_ in walked if kind is PacketKind.REROUTE)
+    data_routes = {route_of(hops) for _, kind, _, _, hops, *_ in walked if kind is PacketKind.PMU}
+    assert all(
+        route_of(hops)[::-1] in data_routes
+        for _, kind, _, _, hops, *_ in walked if kind is PacketKind.REROUTE
+    )
 
 
 # Timings a scenario file may set; k_test = 0 is refused.  The window stays at
@@ -766,13 +774,12 @@ def test_cli_topology_exports_edges(scenarios_dir, tmp_path):
 ])
 def test_exported_topology_is_pinned(scenarios_dir, tmp_path, scenario, seed, digest):
     """Every node's id, role and position, the rings and the serving edges.
-    The header's case path is cut to its file name, so the checkout's
-    location does not enter the digest."""
+    The header names the case by its file name, so the bytes do not depend
+    on where the checkout lives."""
     cfg = load_scenario(str(scenarios_dir / f"{scenario}.ini"))
     out = tmp_path / "topo.txt"
     export_topology(build_run_topology(cfg, seed), str(out))
-    data = out.read_bytes().replace(cfg.case_path.encode(), Path(cfg.case_path).name.encode())
-    assert hashlib.sha256(data).hexdigest() == digest
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_cli_input_errors_exit_1(tmp_path, data_dir, capsys):
