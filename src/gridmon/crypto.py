@@ -15,16 +15,18 @@ Points are affine ``(x, y)`` tuples; ``None`` is the point at infinity.
 The API stays affine, but ``scalar_mult`` works in Jacobian coordinates
 inside and picks one of three paths by its input:
 
-* ``G`` of any curve: a fixed-base window table built once per curve;
+* a point with a fixed-base window table: ``G`` of any curve, whose table is
+  built once per curve, or a point whose table the caller passes in (a
+  run's ``CryptoMemo`` builds one for the control-center key);
 * any other point on secp256k1: the GLV endomorphism splits ``k`` into two
   ~128-bit halves whose width-5 NAF digits share one doubling chain;
 * anything else (toy17, off-curve input): left-to-right double-and-add.
-  toy17's scalars are 5 bits, where a table would cost more than it saves.
 
 RC5 key schedules are memoized per key; ``protocol.seal`` keeps RC5-CTR
 counter blocks disjoint under a key (48-bit sequence, 16-bit block index).
-A ``CryptoMemo`` passed as ``memo=`` lets one run compute each keystream and
-ECDH key once: a message's seal and its opens share the work.
+A ``CryptoMemo`` passed as ``memo=`` holds what one run would otherwise
+recompute: each keystream and ECDH key (a message's seal and its opens share
+the work), each key's HMAC pads, and the window table of the key it seals for.
 """
 
 from __future__ import annotations
@@ -48,18 +50,52 @@ class CryptoMemo(OrderedDict):
     (key, counter base, length) and ECDH keys keyed by (curve, private key,
     peer point).
 
-    Holds at most ``LIMIT`` entries and drops the oldest first.  A run owns
-    one and empties it when it ends; callers that pass none compute every
-    result afresh.
+    Holds at most ``LIMIT`` entries and drops the oldest first.  Beside them,
+    and outside the bound, it keeps what a run reuses on every call: the
+    window table of each recipient key it seals for (``window_table``) and
+    the keyed HMAC states of each key it tags under (``hmac_pads``).  A run
+    owns one memo and empties it when it ends; callers that pass none
+    compute every result afresh.
     """
 
     LIMIT = 1024
+
+    def __init__(self):
+        super().__init__()
+        self.tables: dict = {}
+        self.hmac_states: dict = {}
 
     def remember(self, key, value):
         self[key] = value
         if len(self) > self.LIMIT:
             self.popitem(last=False)
         return value
+
+    def clear(self):
+        super().clear()
+        self.tables.clear()
+        self.hmac_states.clear()
+
+    def window_table(self, curve: CurveParams, point) -> tuple:
+        """The window table of a curve point of order n, built at its first use."""
+        table = self.tables.get((curve, point))
+        if table is None:
+            table = self.tables[curve, point] = _window_table(curve, point)
+        return table
+
+    def hmac_pads(self, key) -> tuple:
+        """SHA-256 states that have absorbed ``key``'s inner and outer HMAC
+        pads (RFC 2104, section 4), computed at the key's first use."""
+        if not isinstance(key, bytes):
+            key = bytes(memoryview(key))  # hashable; refuses the int bytes() would zero-fill
+        pads = self.hmac_states.get(key)
+        if pads is None:
+            # SHA-256 reads 64-byte blocks: a longer key is hashed, a shorter one zero-filled.
+            block = (key if len(key) <= 64 else hashlib.sha256(key).digest()).ljust(64, b"\0")
+            pads = self.hmac_states[key] = tuple(
+                hashlib.sha256(bytes(b ^ pad for b in block)) for pad in (0x36, 0x5C)
+            )
+        return pads
 
 
 # ===== elliptic curve arithmetic =====
@@ -187,26 +223,56 @@ def _to_affine(curve: CurveParams, pt):
     return (x * zz % p, y * zz * zinv % p)
 
 
+def _all_to_affine(curve: CurveParams, points) -> list:
+    """Affine forms of finite Jacobian points, sharing one inversion
+    (Montgomery's trick)."""
+    p = curve.p
+    prefix = [1]  # prefix[i] is the product of the first i Z coordinates
+    for _, _, z in points:
+        prefix.append(prefix[-1] * z % p)
+    inv = pow(prefix[-1], -1, p)  # 1 / (Z_0 ... Z_last)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        zinv = inv * prefix[i] % p
+        inv = inv * z % p
+        zz = zinv * zinv % p
+        out[i] = (x * zz % p, y * zz * zinv % p)
+    return out
+
+
 _WINDOW_BITS = 4
+
+
+def _window_table(curve: CurveParams, point) -> tuple:
+    """Row i holds affine j * 16**i * P for j in 0..15 (row[0] is None).
+
+    One row per 4-bit window of a scalar below n, so k*P is one mixed
+    addition per nonzero window and no doubling (fixed-base windowing,
+    Hankerson, Menezes and Vanstone, section 3.3).  P must have prime order
+    n > 15, so no entry is the point at infinity.  The rows' bases 16**i * P
+    come by doubling and each row by mixed additions, all in Jacobian
+    coordinates; the bases share one inversion and the table another.
+    """
+    width = 2**_WINDOW_BITS - 1
+    base = (point[0], point[1], 1)
+    bases = []
+    for _ in range(-(-curve.n.bit_length() // _WINDOW_BITS)):
+        bases.append(base)
+        for _ in range(_WINDOW_BITS):
+            base = _jacobian_double(curve, base)
+    multiples = []
+    for b in _all_to_affine(curve, bases):
+        multiples.append((b[0], b[1], 1))
+        for _ in range(width - 1):
+            multiples.append(_jacobian_add_affine(curve, multiples[-1], b))
+    flat = _all_to_affine(curve, multiples)
+    return tuple((None, *flat[i : i + width]) for i in range(0, len(flat), width))
 
 
 @functools.cache
 def _g_table(curve: CurveParams) -> tuple:
-    """Row i holds affine j * 16**i * G for j in 0..15 (row[0] is None).
-
-    One row per 4-bit window of a scalar below n, so k*G is one mixed
-    addition per nonzero window and no doubling (fixed-base windowing,
-    Hankerson, Menezes and Vanstone, section 3.3).
-    """
-    rows = []
-    base = curve.g
-    for _ in range(-(-curve.n.bit_length() // _WINDOW_BITS)):
-        row = [None]
-        for _ in range(2**_WINDOW_BITS - 1):
-            row.append(point_add(curve, row[-1], base))
-        rows.append(tuple(row))
-        base = point_add(curve, row[-1], base)
-    return tuple(rows)
+    return _window_table(curve, curve.g)
 
 
 # secp256k1's efficiently computable endomorphism (SEC 2 v2, section 2.4.1):
@@ -258,25 +324,13 @@ def _odd_multiples(curve: CurveParams, point) -> list:
     """Affine P, 3P, ..., 15P for a point of order n > 15.
 
     The sums run in Jacobian coordinates from affine 2P and share one
-    inversion (Montgomery's trick), so the table costs two inversions.
+    inversion, so the table costs two inversions.
     """
-    p = curve.p
     twice = point_add(curve, point, point)
     jac = [(point[0], point[1], 1)]
     for _ in range(2 ** (_NAF_WIDTH - 2) - 1):
         jac.append(_jacobian_add_affine(curve, jac[-1], twice))
-    prefix = [1]  # prefix[i] is the product of the first i Z coordinates
-    for _, _, z in jac:
-        prefix.append(prefix[-1] * z % p)
-    inv = pow(prefix[-1], -1, p)  # 1 / (Z_0 ... Z_last)
-    out = [None] * len(jac)
-    for i in range(len(jac) - 1, -1, -1):
-        x, y, z = jac[i]
-        zinv = inv * prefix[i] % p
-        inv = inv * z % p
-        zz = zinv * zinv % p
-        out[i] = (x * zz % p, y * zz * zinv % p)
-    return out
+    return _all_to_affine(curve, jac)
 
 
 def _glv_mult(curve: CurveParams, k: int, point):
@@ -302,22 +356,26 @@ def _glv_mult(curve: CurveParams, k: int, point):
     return _to_affine(curve, acc)
 
 
-def scalar_mult(curve: CurveParams, k: int, point):
+def scalar_mult(curve: CurveParams, k: int, point, table: tuple | None = None):
     """k*P for an affine point P; negative scalars are rejected.
 
-    G is multiplied from its window table, and any other point on
-    secp256k1 by the GLV split, both with k reduced mod n: G has order n,
-    and so does every point on secp256k1 (cofactor 1).  Every other input --
-    a toy17 point, or a point that fails ``is_on_curve`` -- goes by
-    left-to-right double-and-add on the unreduced k.
+    P is multiplied from a window table when the caller passes one --
+    ``table`` must be P's, as ``CryptoMemo.window_table`` builds it -- and G
+    from its own, and any other point on secp256k1 by the GLV split, all
+    with k reduced mod n: G and a tabled point have order n, and so does
+    every point on secp256k1 (cofactor 1).  Every other input -- a toy17
+    point, or a point that fails ``is_on_curve`` -- goes by left-to-right
+    double-and-add on the unreduced k.
     """
     if k < 0:
         raise CryptoError("scalar must be non-negative")
     acc = None
-    if point == curve.g:
+    if table is None and point == curve.g:
+        table = _g_table(curve)
+    if table is not None:
         k %= curve.n
         mask = 2**_WINDOW_BITS - 1
-        for row in _g_table(curve):
+        for row in table:
             acc = _jacobian_add_affine(curve, acc, row[k & mask])
             k >>= _WINDOW_BITS
     elif point is not None and curve == _SECP256K1 and is_on_curve(curve, point):
@@ -355,12 +413,14 @@ def derive_key(curve: CurveParams, point: tuple[int, int]) -> bytes:
 
 
 def ecdh_shared(
-    curve: CurveParams, private: int, peer_public, *, memo: CryptoMemo | None = None
+    curve: CurveParams, private: int, peer_public, *, memo: CryptoMemo | None = None,
+    table: tuple | None = None,
 ) -> bytes:
     """Derive the pairwise key private * peer_public -> 16 bytes.
 
     The checks run on every call; a ``memo`` then serves a (curve, private,
-    peer) triple it has seen without a scalar multiplication.
+    peer) triple it has seen without a scalar multiplication, and a
+    ``table`` of the peer's multiples is passed on to ``scalar_mult``.
     """
     if not is_on_curve(curve, peer_public) or peer_public is None:
         raise CryptoError(f"peer public key {peer_public} is not on curve {curve.name}")
@@ -369,7 +429,7 @@ def ecdh_shared(
     entry = (curve, private, peer_public)
     key = None if memo is None else memo.get(entry)
     if key is None:
-        shared = scalar_mult(curve, private, peer_public)
+        shared = scalar_mult(curve, private, peer_public, table)
         if shared is None:
             raise CryptoError("shared secret is the point at infinity")
         key = derive_key(curve, shared)
@@ -388,11 +448,6 @@ RC5_KEY_BYTES = 16
 RC5_BLOCK_BYTES = 8
 
 
-def _rotl(x: int, s: int) -> int:
-    s &= 31
-    return ((x << s) | (x >> (32 - s))) & _M32
-
-
 @functools.lru_cache(maxsize=512)
 def rc5_key_schedule(key: bytes) -> tuple[int, ...]:
     """Expand a 16-byte (hashable) key into the 26-word round key table.
@@ -407,8 +462,11 @@ def rc5_key_schedule(key: bytes) -> tuple[int, ...]:
     S = [(_P32 + i * _Q32) & _M32 for i in range(t)]
     A = B = 0
     for k in range(3 * t):
-        A = S[k % t] = _rotl((S[k % t] + A + B) & _M32, 3)
-        B = L[k % 4] = _rotl((L[k % 4] + A + B) & _M32, A + B)
+        # Rotations inlined as in _keystream; here the mask follows the rotation.
+        x = (S[k % t] + A + B) & _M32
+        A = S[k % t] = (x << 3 | x >> 29) & _M32
+        x, r = (L[k % 4] + A + B) & _M32, (A + B) & 31
+        B = L[k % 4] = (x << r | x >> (32 - r)) & _M32
     return tuple(S)
 
 
@@ -456,7 +514,7 @@ def _keystream(S, nonce: int, n: int) -> int:
         A = ((counter & _M32) + S[0]) & _M32
         B = ((counter >> 32 & _M32) + S[1]) & _M32
         for sa, sb in rounds:
-            # _rotl inlined: x << r keeps bits above 32; the mask after the add drops them.
+            # Rotation inlined: x << r keeps bits above 32; the mask after the add drops them.
             x, r = A ^ B, B & 31
             A = ((x << r | x >> (32 - r)) + sa) & _M32
             x, r = B ^ A, A & 31
@@ -473,13 +531,27 @@ def hmac_tag(key: bytes, message: bytes) -> bytes:
     return _hmac.new(key, message, hashlib.sha256).digest()
 
 
-def nested_hmac(group_key: bytes, pairwise_key: bytes, message: bytes) -> bytes:
+def nested_hmac(
+    group_key: bytes, pairwise_key: bytes, message: bytes, *, memo: CryptoMemo | None = None
+) -> bytes:
     """Two-layer tag: inner HMAC under the pairwise key, outer under the group key.
 
     A forger must know both keys, so a node holding only the group key still
-    cannot forge traffic for another pair.
+    cannot forge traffic for another pair.  With a ``memo``, each layer
+    copies the hash states the memo keyed under its key once, instead of
+    keying ``hmac_tag`` afresh.
     """
-    return hmac_tag(group_key, hmac_tag(pairwise_key, message))
+    if memo is None:
+        return hmac_tag(group_key, hmac_tag(pairwise_key, message))
+    tag = message
+    for key in (pairwise_key, group_key):
+        inner, outer = memo.hmac_pads(key)
+        inner = inner.copy()
+        inner.update(tag)
+        outer = outer.copy()
+        outer.update(inner.digest())
+        tag = outer.digest()
+    return tag
 
 
 def tags_equal(a: bytes, b: bytes) -> bool:
@@ -517,7 +589,8 @@ def pk_encrypt(
     point would still give the same ECDH output).  A small curve has few
     ephemeral keys, so two seals can share an ECDH output; give every seal
     its own id and they still share no key and no counter block.  ``memo``
-    is passed on to ``rc5_ctr``, so the opens can reuse the keystream.
+    is passed on to ``rc5_ctr``, so the opens can reuse the keystream, and
+    its window table of ``recipient_public`` serves the ECDH multiplication.
     """
     if not is_on_curve(curve, recipient_public) or recipient_public is None:
         raise CryptoError("recipient public key is not on the curve")
@@ -525,8 +598,11 @@ def pk_encrypt(
         raise CryptoError(f"seal id {seal_id} outside [0, 2**48)")
     eph = keypair_generate(curve, rng)
     sid = seal_id.to_bytes(_SEAL_ID_BYTES, "big")
-    # A fresh ephemeral key: its ECDH output is not worth a memo entry.
-    rc5_key, mac_key = _pk_keys(ecdh_shared(curve, eph.private, recipient_public), sid)
+    # A fresh ephemeral key: its ECDH output is not worth a memo entry, but
+    # the recipient's table, built at the memo's first seal, serves them all.
+    table = None if memo is None else memo.window_table(curve, recipient_public)
+    shared = ecdh_shared(curve, eph.private, recipient_public, table=table)
+    rc5_key, mac_key = _pk_keys(shared, sid)
     ciphertext = rc5_ctr(rc5_key, seal_id << 16, plaintext, memo=memo)
     size = curve.byte_length
     ex, ey = eph.public

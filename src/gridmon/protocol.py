@@ -116,10 +116,10 @@ def seal(
     """Encrypt under the pairwise key and tag with the nested HMAC; ``nonce``: sequence number.
 
     ``memo`` is passed on to ``rc5_ctr``, so the open of this seal under the
-    same memo reuses its keystream.
+    same memo reuses its keystream, and to ``nested_hmac``.
     """
     ciphertext = rc5_ctr(pairwise_key, _counter_base(nonce, len(plaintext)), plaintext, memo=memo)
-    tag = nested_hmac(group_key, pairwise_key, ciphertext)
+    tag = nested_hmac(group_key, pairwise_key, ciphertext, memo=memo)
     return ciphertext, tag
 
 
@@ -129,9 +129,10 @@ def open_sealed(
 ) -> bytes:
     """Verify the nested tag, then decrypt; any bit flip raises TamperRejected.
 
-    ``memo`` is passed on to ``rc5_ctr``; a rejected payload never reaches it.
+    ``memo`` is passed on to ``nested_hmac`` and ``rc5_ctr``; a rejected
+    payload never reaches ``rc5_ctr``.
     """
-    expect = nested_hmac(group_key, pairwise_key, ciphertext)
+    expect = nested_hmac(group_key, pairwise_key, ciphertext, memo=memo)
     if not tags_equal(expect, tag):
         raise TamperRejected("nested authentication tag mismatch")
     return rc5_ctr(pairwise_key, _counter_base(nonce, len(ciphertext)), ciphertext, memo=memo)

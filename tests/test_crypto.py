@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
@@ -34,6 +35,8 @@ from gridmon.crypto import (
     _glv_split,
     _wnaf,
 )
+from gridmon.runner import run_simulation
+from gridmon.scenario import load_scenario
 
 TOY = CURVES["toy17"]
 SECP = CURVES["secp256k1"]
@@ -128,6 +131,29 @@ def test_rc5_key_schedule_is_memoized_and_bounded():
     assert isinstance(rc5_key_schedule.cache_info().maxsize, int)  # None would be unbounded
 
 
+def textbook_key_schedule(key):
+    """RC5-32/12/16 key expansion as Rivest (1994) writes it, with its own rotl."""
+    L = [int.from_bytes(key[i : i + 4], "little") for i in range(0, 16, 4)]
+    t = 26
+    S = [0xB7E15163]
+    for _ in range(t - 1):
+        S.append((S[-1] + 0x9E3779B9) & M32)
+    A = B = i = j = 0
+    for _ in range(3 * t):
+        A = S[i] = rotl((S[i] + A + B) & M32, 3)
+        B = L[j] = rotl((L[j] + A + B) & M32, A + B)
+        i = (i + 1) % t
+        j = (j + 1) % 4
+    return tuple(S)
+
+
+@given(key=st.binary(min_size=16, max_size=16))
+@example(key=bytes(16))
+@example(key=b"\xff" * 16)
+def test_rc5_key_schedule_matches_the_textbook_expansion(key):
+    assert rc5_key_schedule.__wrapped__(key) == textbook_key_schedule(key)
+
+
 @given(
     key=st.binary(min_size=16, max_size=16),
     nonce=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 40, 2**64 - 1)),
@@ -185,6 +211,35 @@ def test_hmac_known_answers(key, msg, digest_hex):
 def test_nested_hmac_composition():
     group, pairwise, msg = b"g" * 16, b"p" * 16, b"payload"
     assert nested_hmac(group, pairwise, msg) == hmac_tag(group, hmac_tag(pairwise, msg))
+
+
+@given(
+    group=st.binary(max_size=100), pairwise=st.binary(max_size=100), message=st.binary(max_size=80)
+)
+@example(group=bytes(64), pairwise=bytes(65), message=b"")  # either side of SHA-256's block size
+@example(group=KEY16, pairwise=KEY16, message=b"one key for both layers")
+def test_nested_hmac_with_a_memo_equals_nested_hmac_without(group, pairwise, message):
+    memo = CryptoMemo()
+    expected = nested_hmac(group, pairwise, message)
+    assert nested_hmac(group, pairwise, message, memo=memo) == expected
+    # The memo's keyed states are copied, never consumed by a tag.
+    assert nested_hmac(group, pairwise, message, memo=memo) == expected
+    assert nested_hmac(bytearray(group), pairwise, message, memo=memo) == expected
+
+
+def test_a_memo_never_serves_one_keys_hmac_state_for_another():
+    base = random.Random(9).randbytes(16)
+    keys = [
+        base, base[:15], base + b"\x00", bytes([base[0] ^ 1]) + base[1:], bytes(16),
+        bytes(64), bytes(65), b"",
+    ]
+    memo = CryptoMemo()
+    for _ in range(2):
+        for group in keys:
+            for pairwise in keys:
+                tag = nested_hmac(group, pairwise, b"a reading", memo=memo)
+                assert tag == hmac_tag(group, hmac_tag(pairwise, b"a reading"))
+    assert list(memo.hmac_states) == keys
 
 
 def test_tags_equal_is_order_insensitive_comparison():
@@ -323,6 +378,45 @@ def test_off_curve_secp256k1_point_matches_the_oracle():
     rng = random.Random(8)
     for k in [rng.randrange(2**256) for _ in range(30)]:
         assert scalar_mult(SECP, k, point) == affine_scalar_mult(SECP, k, point), k
+
+
+def row_by_row_table(curve, point):
+    """Row i holds j * 16**i * P for j in 0..15, each entry one point_add from the last."""
+    rows, base = [], point
+    for _ in range(-(-curve.n.bit_length() // 4)):
+        row = [None]
+        for _ in range(15):
+            row.append(point_add(curve, row[-1], base))
+        rows.append(tuple(row))
+        base = point_add(curve, row[-1], base)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("curve", [TOY, SECP], ids=lambda c: c.name)
+def test_the_table_builder_matches_a_row_by_row_table(curve):
+    assert crypto._g_table(curve) == row_by_row_table(curve, curve.g)
+    other = affine_scalar_mult(curve, 7, curve.g)
+    assert crypto._window_table(curve, other) == row_by_row_table(curve, other)
+
+
+def test_table_multiplication_matches_the_oracle_on_every_toy_point():
+    for point in toy_affine_points():
+        table = crypto._window_table(TOY, point)
+        for k in range(3 * TOY.n + 1):
+            assert scalar_mult(TOY, k, point, table) == affine_scalar_mult(TOY, k, point), (k, point)
+
+
+SECP_OTHER_TABLE = crypto._window_table(SECP, SECP_OTHER_BASE)
+
+
+@given(k=st.integers(0, SECP.n - 1))
+@example(k=1)
+@example(k=15)
+@example(k=16)
+@example(k=SECP.n - 1)
+def test_table_multiplication_matches_the_oracle_on_secp256k1(k):
+    product = scalar_mult(SECP, k, SECP_OTHER_BASE, SECP_OTHER_TABLE)
+    assert product == affine_scalar_mult(SECP, k, SECP_OTHER_BASE)
 
 
 def test_glv_path_runs_only_for_points_on_secp256k1(monkeypatch):
@@ -638,3 +732,64 @@ def test_a_flipped_bit_is_refused_with_a_memo(curve):
             parts[field][bit // 8] ^= 1 << (bit % 8)
             with pytest.raises(protocol.TamperRejected):
                 protocol.open_sealed(KEY16, group, 40, bytes(parts[0]), bytes(parts[1]), memo=memo)
+
+
+@pytest.mark.parametrize("curve", [TOY, SECP], ids=lambda c: c.name)
+def test_pk_encrypt_with_a_memo_seals_the_same_bytes_as_without(curve):
+    rng = random.Random(f"seal {curve.name}")
+    recipient = keypair_generate(curve, rng)
+    memo = CryptoMemo()
+    for seal_id in range(6):
+        plaintext = rng.randbytes(40)
+        state = rng.getstate()
+        sealed = pk_encrypt(curve, recipient.public, plaintext, rng, seal_id, memo=memo)
+        rng.setstate(state)
+        assert pk_encrypt(curve, recipient.public, plaintext, rng, seal_id) == sealed
+        assert pk_decrypt(curve, recipient.private, sealed) == plaintext
+    assert list(memo.tables) == [(curve, recipient.public)]
+
+
+def counted_table_builds(monkeypatch):
+    """Points whose window table is built from now on, G's excluded."""
+    builds = []
+    real = crypto._window_table
+
+    def counted(curve, point):
+        if point != curve.g:
+            builds.append(point)
+        return real(curve, point)
+
+    monkeypatch.setattr(crypto, "_window_table", counted)
+    return builds
+
+
+def test_each_memo_builds_its_own_table_and_clear_drops_it(monkeypatch):
+    builds = counted_table_builds(monkeypatch)
+    rng = random.Random(21)
+    recipient = keypair_generate(SECP, rng).public
+    first, second = CryptoMemo(), CryptoMemo()
+    for memo in (first, first, second, second):
+        pk_encrypt(SECP, recipient, b"one window", rng, memo=memo)
+        nested_hmac(KEY16, bytes(16), b"a reading", memo=memo)
+    assert builds == [recipient, recipient]
+    assert first.tables[SECP, recipient] is not second.tables[SECP, recipient]
+    first.clear()
+    assert (len(first), first.tables, first.hmac_states) == (0, {}, {})
+    assert len(second.tables) == 1 and len(second.hmac_states) == 2
+    pk_encrypt(SECP, recipient, b"one window", rng, memo=first)
+    assert builds == [recipient] * 3
+
+
+def test_a_run_leaves_no_table_but_g_s_at_module_level(monkeypatch, scenarios_dir):
+    builds = counted_table_builds(monkeypatch)
+    cfg = dataclasses.replace(
+        load_scenario(str(scenarios_dir / "ieee14.ini")), curve="secp256k1", duration_s=1.0
+    )
+    sim = run_simulation(cfg)
+    assert sim.metrics.scada_delivered > 0
+    assert builds == [sim.cc_keypair.public]  # built at the run's first seal
+    assert sim._crypto_memo.tables == {} and sim._crypto_memo.hmac_states == {}
+    assert crypto._g_table.cache_info().currsize <= len(CURVES)
+    # Nothing kept the run's table: a new memo builds it again.
+    pk_encrypt(SECP, sim.cc_keypair.public, b"after the run", random.Random(2), memo=CryptoMemo())
+    assert builds == [sim.cc_keypair.public] * 2
