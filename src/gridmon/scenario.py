@@ -123,11 +123,13 @@ def _convert(label: str, raw: str, kind: str):
 def load_scenario(path: str) -> ScenarioConfig:
     """Read and validate a scenario file; relative case paths resolve
     against the scenario file's directory."""
-    if not os.path.exists(path):
-        raise ScenarioError(f"scenario file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path, encoding="utf-8")
+        # ConfigParser.read would skip a path it cannot open, a directory too.
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc.strerror}") from None
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {exc}") from None
 

@@ -25,6 +25,8 @@ shared by its ``k_test`` probes, and a reroute request builds one for the
 data packet's hops reversed.  Sensor, data and reroute packets carry their
 ``SensorReading``.  One event per hop, ``_walk``, lands the previous hop and
 sends the next.
+The wired plane walks stored routes of node ids, one ``_wire`` event per hop;
+each sink's two routes to the control-center servers are built at start-up.
 Only the plan's attackers are asked how they forward, from their activation
 time on, set-up included.
 """
@@ -128,6 +130,16 @@ class Simulation:
 
         self._sink_buffer: dict[int, list[SensorReading]] = {
             nid: [] for sinks in self._sinks.values() for nid in sinks.values()
+        }
+        # Per sink, its wired routes to the main and the backup server: the
+        # shorter arc of its ring to that center's gateway (a ring closes from
+        # its last node back to its first), the forward one on a tie, as min
+        # keeps the first of equal lengths, then the server.
+        main_srv, backup_srv = topo.cc_servers
+        self._server_routes = {
+            ring[i]: ((*min(ring[i:] + ring[:1], ring[i::-1], key=len), main_srv),
+                      (*min(ring[i:], ring[i::-1] + ring[-1:], key=len), backup_srv))
+            for ring in (topo.rs_ring, topo.pdc_ring) for i in range(1, len(ring) - 1)
         }
         self.keyed: set[int] = set()  # nodes that key distribution reached
 
@@ -423,42 +435,31 @@ class Simulation:
         )
         self.ledger.generated(reading)
         pkt = Packet(reading.id, route[0], route[-1], kind, reading=reading)
-        self._wired_send(pkt, route, 0, self.cfg.intra_substation_latency_s)
+        self._wire(pkt, route, 0, self.cfg.intra_substation_latency_s)
         nxt = now + self._gap(kind)
         if nxt < self._traffic_end:
             self.queue.schedule(nxt, self._fire, sensor)
 
     # ----- wired walk, aggregation and the optical plane -----
 
-    def _wired_send(self, pkt: Packet, route: tuple[int, ...], idx: int, latency_s: float) -> None:
+    def _wire(self, pkt: Packet, route: tuple[int, ...], idx: int, latency_s: float) -> None:
+        """Land wired hop ``idx - 1`` of ``route`` (node ids) when ``idx > 0``,
+        then send hop ``idx``; the route's last node handles the packet."""
+        if idx:
+            node_id, kind = route[idx], pkt.kind
+            if self.trace is not None:
+                self._trace("recv", pkt, route[idx - 1], node_id)
+            if kind is PacketKind.KEYDIST:
+                self.keyed.add(node_id)
+            if idx == len(route) - 1:
+                if kind is PacketKind.AGGREGATE:
+                    self._server_receive(node_id, pkt)
+                elif kind is not PacketKind.KEYDIST:
+                    self._dispatch(node_id, pkt.reading)
+                return
         if self.trace is not None:
             self._trace("send", pkt, route[idx], route[idx + 1])
-        self.queue.schedule(
-            self.queue.now + latency_s, self._wired_arrive, pkt, route, idx + 1, latency_s
-        )
-
-    def _wired_arrive(self, pkt: Packet, route: tuple[int, ...], idx: int, latency_s: float) -> None:
-        node_id = route[idx]
-        kind = pkt.kind
-        if self.trace is not None:
-            self._trace("recv", pkt, route[idx - 1], node_id)
-        if kind is PacketKind.KEYDIST:
-            self.keyed.add(node_id)
-        if idx < len(route) - 1:
-            self._wired_send(pkt, route, idx, latency_s)
-        elif kind is PacketKind.AGGREGATE:
-            self._server_receive(node_id, pkt)
-        elif kind is not PacketKind.KEYDIST:
-            self._dispatch(node_id, pkt.reading)
-
-    def _ring_route(self, ring: list[int], from_id: int, to_id: int) -> list[int]:
-        i, j = ring.index(from_id), ring.index(to_id)
-        n = len(ring)
-        fwd_steps = (j - i) % n
-        back_steps = (i - j) % n
-        if fwd_steps <= back_steps:
-            return [ring[(i + k) % n] for k in range(fwd_steps + 1)]
-        return [ring[(i - k) % n] for k in range(back_steps + 1)]
+        self.queue.schedule(self.queue.now + latency_s, self._wire, pkt, route, idx + 1, latency_s)
 
     def _flush_sink(self, sink_id: int, window_start: float, window_end: float) -> None:
         buffered = self._sink_buffer[sink_id]
@@ -475,19 +476,10 @@ class Simulation:
             self.curve, self.cc_keypair.public, blob, self.rng_crypto, self._aggregate_seq,
             memo=self._crypto_memo,
         )
-        ring = self.topo.rs_ring if sink.role is Role.RS else self.topo.pdc_ring
-        main_gw, backup_gw = self.topo.cc_gateways
-        main_srv, backup_srv = self.topo.cc_servers
-        for cc_gw, server in ((main_gw, main_srv), (backup_gw, backup_srv)):
-            pkt = Packet(
-                seq=self._next_seq(sink_id),
-                src=sink_id,
-                dst=server,
-                kind=PacketKind.AGGREGATE,
-                ciphertext=sealed,
-            )
-            route = tuple(self._ring_route(ring, sink_id, cc_gw)) + (server,)
-            self._wired_send(pkt, route, 0, self.cfg.wired_latency_s)
+        for route in self._server_routes[sink_id]:
+            pkt = Packet(self._next_seq(sink_id), sink_id, route[-1], PacketKind.AGGREGATE,
+                         ciphertext=sealed)
+            self._wire(pkt, route, 0, self.cfg.wired_latency_s)
 
     def _server_receive(self, server_id: int, pkt: Packet) -> None:
         backup = server_id == self.topo.cc_servers[1]
@@ -510,9 +502,9 @@ class Simulation:
         latency = self.cfg.wired_latency_s
         for ring in (self.topo.rs_ring, self.topo.pdc_ring):
             pkt = Packet(self._next_seq(main_srv), main_srv, ring[-1], PacketKind.KEYDIST)
-            self._wired_send(pkt, (main_srv, *ring), 0, latency)
+            self._wire(pkt, (main_srv, *ring), 0, latency)
         pkt = Packet(self._next_seq(main_srv), main_srv, backup_srv, PacketKind.KEYDIST)
-        self._wired_send(pkt, (main_srv, main_gw, backup_gw, backup_srv), 0, latency)
+        self._wire(pkt, (main_srv, main_gw, backup_gw, backup_srv), 0, latency)
 
     def _trust_probes(self):
         """The trust-bootstrap plan: ``k_test`` test packets from every gateway

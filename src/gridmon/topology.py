@@ -46,6 +46,13 @@ class Substation:
 
 @dataclass
 class PowerCase:
+    """A grid case and its graph, built once when the case is made.
+
+    Every bus belongs to exactly one substation.  ``neighborhood`` maps each
+    bus to itself and the buses one branch away, ``ties`` each substation to
+    the other substations a branch reaches; both hold frozensets.
+    """
+
     name: str
     buses: list[int]
     branches: list[tuple[int, int]]
@@ -55,9 +62,27 @@ class PowerCase:
         return self._bus_to_sub[bus]
 
     def __post_init__(self):
-        self._bus_to_sub = {
-            bus: sub.id for sub in self.substations.values() for bus in sub.buses
-        }
+        owner: dict[int, int] = {}
+        for sub in self.substations.values():
+            for bus in sub.buses:
+                if bus in owner:
+                    raise CaseError(
+                        f"{self.name}: bus {bus} assigned to substations {owner[bus]} and {sub.id}"
+                    )
+                owner[bus] = sub.id
+        orphans = [b for b in self.buses if b not in owner]
+        if orphans:
+            raise CaseError(f"{self.name}: buses {orphans} belong to no substation")
+        near = {bus: {bus} for bus in self.buses}
+        ties: dict[int, set[int]] = {sid: set() for sid in self.substations}
+        for a, b in self.branches:
+            near[a].add(b)
+            near[b].add(a)
+            ties[owner[a]].add(owner[b])
+            ties[owner[b]].add(owner[a])
+        self._bus_to_sub = owner
+        self.neighborhood = {bus: frozenset(buses) for bus, buses in near.items()}
+        self.ties = {sid: frozenset(subs - {sid}) for sid, subs in ties.items()}
 
 
 @dataclass(frozen=True)
@@ -166,17 +191,6 @@ def parse_power_case(text: str, name: str = "<case>") -> PowerCase:
 
     if not buses:
         raise CaseError(f"{name}: case defines no buses")
-    seen: dict[int, int] = {}
-    for sub in substations.values():
-        for bus in sub.buses:
-            if bus in seen:
-                raise CaseError(
-                    f"{name}: bus {bus} assigned to substations {seen[bus]} and {sub.id}"
-                )
-            seen[bus] = sub.id
-    orphans = [b for b in buses if b not in seen]
-    if orphans:
-        raise CaseError(f"{name}: buses {orphans} belong to no substation")
     return PowerCase(name, buses, branches, substations)
 
 
@@ -192,14 +206,7 @@ def substation_connectivity(case: PowerCase, substation_id: int) -> int:
     """Number of distinct other substations tied to this one by any branch."""
     if substation_id not in case.substations:
         raise CaseError(f"unknown substation {substation_id}")
-    neighbors = set()
-    for a, b in case.branches:
-        sa, sb = case.substation_of(a), case.substation_of(b)
-        if sa == substation_id and sb != substation_id:
-            neighbors.add(sb)
-        elif sb == substation_id and sa != substation_id:
-            neighbors.add(sa)
-    return len(neighbors)
+    return len(case.ties[substation_id])
 
 
 def select_control_centers(case: PowerCase) -> tuple[int, int]:
@@ -285,16 +292,13 @@ def place_pmus(case: PowerCase) -> list[int]:
     ties toward the lower bus id, until every bus is covered.  Returns buses
     in placement order.
     """
-    adjacency: dict[int, set[int]] = {bus: {bus} for bus in case.buses}
-    for a, b in case.branches:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+    near = case.neighborhood
     uncovered = set(case.buses)
     placed: list[int] = []
     while uncovered:
-        bus = min(case.buses, key=lambda c: (-len(adjacency[c] & uncovered), c))
+        bus = min(case.buses, key=lambda c: (-len(near[c] & uncovered), c))
         placed.append(bus)
-        uncovered -= adjacency[bus]
+        uncovered -= near[bus]
     return placed
 
 

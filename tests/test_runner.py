@@ -345,6 +345,42 @@ def test_attack_the_deployment_cannot_take_is_a_scenario_error(scenarios_dir, gr
         run_simulation(cfg)
 
 
+def ring_route(ring, from_id, to_id):
+    """The shorter arc of ``ring`` (closed from its last node to its first), forward on a tie."""
+    i, j = ring.index(from_id), ring.index(to_id)
+    n = len(ring)
+    fwd_steps, back_steps = (j - i) % n, (i - j) % n
+    if fwd_steps <= back_steps:
+        return [ring[(i + k) % n] for k in range(fwd_steps + 1)]
+    return [ring[(i - k) % n] for k in range(back_steps + 1)]
+
+
+@pytest.mark.parametrize("scenario, ties", [("ieee14.ini", 0), ("ieee118.ini", 4)])
+def test_each_sink_routes_to_each_server_over_the_shorter_ring_arc(scenarios_dir, scenario, ties):
+    # The curve plays no part in the routes; toy17 keeps the 118-bus set-up quick.
+    cfg = dataclasses.replace(load_scenario(str(scenarios_dir / scenario)), curve="toy17")
+    topo = build_run_topology(cfg, cfg.seed)
+    sim = Simulation(topo, cfg, cfg.seed)
+    assert set(sim._server_routes) == set(topo.rs_of_region.values()) | set(topo.pdc_of_region.values())
+    forward_ties = 0
+    for ring in (topo.rs_ring, topo.pdc_ring):
+        n = len(ring)
+        for sink in ring[1:-1]:
+            routes = sim._server_routes[sink]
+            assert len(routes) == 2
+            for route, gw, server in zip(routes, topo.cc_gateways, topo.cc_servers):
+                assert route[0] == sink and route[-2:] == (gw, server)
+                for a, b in zip(route[:-2], route[1:-1]):
+                    assert (ring.index(b) - ring.index(a)) % n in (1, n - 1)
+                fwd_steps = (ring.index(gw) - ring.index(sink)) % n
+                assert len(route) == min(fwd_steps, n - fwd_steps) + 2
+                assert list(route[:-1]) == ring_route(ring, sink, gw)
+                if fwd_steps == n - fwd_steps:
+                    assert route[1] == ring[(ring.index(sink) + 1) % n]
+                    forward_ties += 1
+    assert forward_ties == ties
+
+
 def test_one_ecdh_per_sensed_flow(scenarios_dir, monkeypatch):
     calls = []
     ecdh = gridmon.simulation.ecdh_shared
@@ -799,6 +835,15 @@ def test_cli_input_errors_exit_1(tmp_path, data_dir, capsys):
         assert main(["topology", "--scenario", str(ini), "--out", str(tmp_path / "o.txt")]) == 1
         assert time.perf_counter() - t0 < 1.0
         assert message in capsys.readouterr().err
+
+
+def test_a_scenario_path_that_cannot_be_read_is_a_scenario_error_naming_it(tmp_path, capsys):
+    # A directory, not a file: ConfigParser.read would skip it and read no keys.
+    for path, reason in [(tmp_path, "Is a directory"), (tmp_path / "absent.ini", "No such file")]:
+        with pytest.raises(ScenarioError, match=rf"^cannot read scenario file {re.escape(str(path))}: {reason}"):
+            load_scenario(str(path))
+    assert main(["run", "--scenario", str(tmp_path)]) == 1
+    assert f"cannot read scenario file {tmp_path}" in capsys.readouterr().err
 
 
 def test_cli_audit_failure_exits_3(mini_ini, monkeypatch, capsys):

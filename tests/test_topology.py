@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from gridmon.topology import (
     CaseError,
+    PowerCase,
     Role,
+    Substation,
     border_substations,
     build_ring,
     build_topology,
@@ -57,8 +59,24 @@ def test_parse_rejects_malformed_lines():
 
 
 def test_parse_rejects_unassigned_bus():
-    with pytest.raises(CaseError, match="substation"):
-        parse_power_case("bus 1\nbus 2\nsubstation 1 0 0 : 1")
+    message = "grid: buses [2, 3] belong to no substation"
+    with pytest.raises(CaseError) as parsed:
+        parse_power_case("bus 1\nbus 2\nbus 3\nsubstation 1 0 0 : 1", name="grid")
+    assert str(parsed.value) == message
+    with pytest.raises(CaseError) as built:
+        PowerCase("grid", [1, 2, 3], [(1, 2)], {1: Substation(1, (0.0, 0.0), (1,))})
+    assert str(built.value) == message
+
+
+def test_a_bus_in_two_substations_is_refused_with_both_named():
+    message = "grid: bus 2 assigned to substations 4 and 7"
+    with pytest.raises(CaseError) as parsed:
+        parse_power_case("bus 1\nbus 2\nsubstation 4 0 0 : 1 2\nsubstation 7 1 1 : 2", name="grid")
+    assert str(parsed.value) == message
+    subs = {4: Substation(4, (0.0, 0.0), (1, 2)), 7: Substation(7, (1.0, 1.0), (2,))}
+    with pytest.raises(CaseError) as built:
+        PowerCase("grid", [1, 2], [], subs)
+    assert str(built.value) == message
 
 
 def test_parse_accepts_comments_and_blanks():
@@ -81,6 +99,44 @@ def test_control_centers_by_distinct_substation_connectivity():
     assert substation_connectivity(case, 1) == 3
     assert substation_connectivity(case, 2) == 2
     assert select_control_centers(case) == (1, 2)
+
+
+def scanned_ties(case, substation_id):
+    """The substations a branch ties to ``substation_id``, by a scan over every branch."""
+    tied = set()
+    for a, b in case.branches:
+        sa, sb = case.substation_of(a), case.substation_of(b)
+        if sa == substation_id and sb != substation_id:
+            tied.add(sb)
+        elif sb == substation_id and sa != substation_id:
+            tied.add(sa)
+    return tied
+
+
+@pytest.mark.parametrize("name", ["ieee14.case", "ieee118.case"])
+def test_connectivity_matches_a_scan_of_every_branch(cases_dir, name):
+    case = load_power_case(str(cases_dir / name))
+    for sid in case.substations:
+        assert case.ties[sid] == scanned_ties(case, sid)
+        assert substation_connectivity(case, sid) == len(scanned_ties(case, sid))
+    with pytest.raises(CaseError, match=r"^unknown substation 0$"):
+        substation_connectivity(case, 0)
+
+
+@given(st.data())
+def test_connectivity_matches_a_scan_on_small_cases(data):
+    n = data.draw(st.integers(1, 8))
+    buses = list(range(1, n + 1))
+    owner = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    possible = list(itertools.combinations(buses, 2))
+    branches = data.draw(st.lists(st.sampled_from(possible), max_size=12)) if possible else []
+    subs = [
+        (sid, (float(sid), 0.0), [b for b, o in zip(buses, owner) if o == sid])
+        for sid in sorted(set(owner))
+    ]
+    case = make_case(buses, branches, subs)
+    for sid in case.substations:
+        assert substation_connectivity(case, sid) == len(scanned_ties(case, sid))
 
 
 def test_control_centers_need_two_substations():
@@ -117,6 +173,25 @@ def brute_force_min_cover(case):
             if covered == set(buses):
                 return size
     return len(buses)
+
+
+# What place_pmus returns for the shipped 118-bus case, in placement order.
+IEEE118_PMUS = [
+    49, 100, 12, 37, 17, 59, 77, 85, 23, 68, 5, 71, 110, 20, 27, 80, 92, 105,
+    9, 34, 45, 51, 61, 75, 1, 11, 25, 28, 32, 40, 50, 52, 86, 89, 94,
+]
+
+
+def test_pmu_placement_on_ieee118_is_pinned_and_leaves_the_case_graph_alone(cases_dir):
+    case = load_power_case(str(cases_dir / "ieee118.case"))
+    scanned = {b: {b} for b in case.buses}
+    for a, b in case.branches:
+        scanned[a].add(b)
+        scanned[b].add(a)
+    assert case.neighborhood == scanned
+    assert place_pmus(case) == IEEE118_PMUS
+    assert case.neighborhood == scanned
+    assert place_pmus(case) == IEEE118_PMUS
 
 
 def test_pmu_cover_path_of_three():
