@@ -2,9 +2,12 @@
 
 Events fire in (time, insertion order) so runs with equal seeds replay
 byte-identically.  A plan known up front (the trust-bootstrap probes, the
-aggregation-window ticks) is fed to the heap one event at a time, under
-sequence numbers taken when it was planned, so the heap stays small and the
-firing order is the one scheduling each event at once would give.
+aggregation-window ticks) is kept off the heap in sorted flat runs: each run
+holds its times in an array and its handlers in tuples, and only its next
+event sits on the heap, under the sequence number taken when it was planned.
+The heap merges the runs, so the firing order is the one scheduling each
+event at once would give, while a planned event costs a few machine words
+rather than a tuple, a float and an int of its own.
 Batteries follow the first-order radio model; rechargeable nodes regain
 charge lazily, computed from elapsed time at the next access, which keeps
 the event queue free of housekeeping ticks.  Positions never change, so the
@@ -15,14 +18,19 @@ from __future__ import annotations
 
 import heapq
 import math
-from operator import itemgetter
+from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .topology import WIRELESS_ROLES, Role, Topology
 
 
 class EngineError(ValueError):
     pass
+
+
+# Events per sorted run of a planned feed; only each run's next event is on the heap.
+FEED_RUN = 1024
 
 
 # ===== event queue =====
@@ -49,32 +57,42 @@ class EventQueue:
     def schedule_all(self, events) -> None:
         """Schedule an iterable of ``(fire_at, fn, args)`` events as ``schedule``
         would one by one in order: same checks now, same sequence numbers,
-        same firing order.  Only the earliest pending one sits on the heap;
-        each pushes the next when it fires.  Iterating ``events`` must not
-        schedule anything."""
+        same firing order.  The plan is cut into runs of ``FEED_RUN`` events,
+        each stored flat (times in an ``array('d')``, the stable by-time order
+        of its plan offsets in an ``array('i')``, ``fn``s and ``args`` in two
+        tuples), so exact ties stay in seq order.  Only each run's next event
+        sits on the heap and pushes the run's following one when it fires, so
+        the heap merges the runs.  A rejected plan schedules nothing and takes
+        no sequence number.  Iterating ``events`` must not schedule anything."""
         now = self.now
         base = self._seq
-        feed = []
-        for fire_at, fn, args in events:
-            if not fire_at >= now:
-                raise EngineError(f"cannot schedule at {fire_at:.6f}, clock is at {now:.6f}")
-            feed.append((fire_at, base + len(feed), fn, args))
-        self._seq += len(feed)
-        # A stable sort on time keeps ties in seq order; reversed, pop() takes the next.
-        feed.sort(key=itemgetter(0))
-        feed.reverse()
-        if feed:
-            fire_at, seq, fn, args = feed.pop()
-            self.schedule(fire_at, self._fire_fed, feed, fn, args, seq=seq)
+        runs = []
+        events = iter(events)
+        while chunk := list(islice(events, FEED_RUN)):
+            times, fns, args = zip(*chunk)
+            for fire_at in times:
+                if not fire_at >= now:  # NaN too
+                    raise EngineError(f"cannot schedule at {fire_at:.6f}, clock is at {now:.6f}")
+            times = array("d", times)
+            order = array("i", sorted(range(len(times)), key=times.__getitem__))
+            runs.append((times, order, fns, args, base))
+            base += len(times)
+        self._seq = base
+        for run in runs:
+            times, order, _, _, run_base = run
+            self.schedule(times[order[0]], self._fire_fed, run, 0, seq=run_base + order[0])
 
-    def _fire_fed(self, feed: list, fn, args: tuple) -> None:
-        if feed:
-            fire_at, seq, next_fn, next_args = feed.pop()
-            self.schedule(fire_at, self._fire_fed, feed, next_fn, next_args, seq=seq)
-        fn(*args)
+    def _fire_fed(self, run: tuple, i: int) -> None:
+        times, order, fns, args, base = run
+        k = order[i]
+        i += 1
+        if i < len(order):
+            after = order[i]
+            self.schedule(times[after], self._fire_fed, run, i, seq=base + after)
+        fns[k](*args[k])
 
     def __len__(self) -> int:
-        """Events on the heap; a feed's later events are not counted."""
+        """Events on the heap; of a planned run, only its next event is counted."""
         return len(self._heap)
 
     def run_all(self) -> int:

@@ -130,6 +130,8 @@ def load_scenario(path: str) -> ScenarioConfig:
             parser.read_file(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: not UTF-8 ({exc.reason})") from None
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {exc}") from None
 

@@ -76,6 +76,9 @@ class PowerCase:
         near = {bus: {bus} for bus in self.buses}
         ties: dict[int, set[int]] = {sid: set() for sid in self.substations}
         for a, b in self.branches:
+            for end in (a, b):
+                if end not in near:
+                    raise CaseError(f"{self.name}: branch references unknown bus {end}")
             near[a].add(b)
             near[b].add(a)
             ties[owner[a]].add(owner[b])
@@ -195,8 +198,12 @@ def parse_power_case(text: str, name: str = "<case>") -> PowerCase:
 
 
 def load_power_case(path: str) -> PowerCase:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_power_case(fh.read(), name=path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CaseError(f"cannot read case file {path}: not UTF-8 ({exc.reason})") from None
+    return parse_power_case(text, name=path)
 
 
 # ===== control-center selection =====

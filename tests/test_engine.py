@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridmon import engine
 from gridmon.engine import (
     EnergyModel,
     EngineError,
@@ -104,14 +106,16 @@ _GRID = st.integers(0, 4).map(lambda k: k * 0.5)
 
 
 @given(
+    st.sampled_from([2, 3, engine.FEED_RUN]),
     st.lists(_GRID, max_size=4),
     st.lists(st.tuples(_GRID, st.lists(_GRID, max_size=2)), max_size=25),
     st.lists(_GRID, max_size=4),
 )
-def test_schedule_all_fires_as_scheduling_one_by_one(before, plan, after):
+def test_schedule_all_fires_as_scheduling_one_by_one(run, before, plan, after):
     """Events scheduled before and after the plan, and children their handlers
     schedule at ``now + dt`` onto the times of pending planned events, all
-    fire in the order of scheduling every event separately."""
+    fire in the order of scheduling every event separately.  Cut into runs
+    of two or three events, the plan's exact ties fall across run bounds."""
 
     def replay(fed):
         q = CountingQueue()
@@ -135,7 +139,9 @@ def test_schedule_all_fires_as_scheduling_one_by_one(before, plan, after):
         assert q.run_all() == q.processed == len(log) == q.calls
         return log
 
-    assert replay(fed=True) == replay(fed=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "FEED_RUN", run)
+        assert replay(fed=True) == replay(fed=False)
 
 
 def test_schedule_all_takes_one_block_of_sequence_numbers():
@@ -152,19 +158,47 @@ def test_schedule_all_takes_one_block_of_sequence_numbers():
     assert fired == ["x", "a", "b", "c", "d", "e"]
 
 
-def test_schedule_all_rejects_a_past_time_at_call_time():
-    q = EventQueue()
+def test_schedule_all_rejects_a_past_time_at_call_time(monkeypatch):
+    monkeypatch.setattr(engine, "FEED_RUN", 2)  # the bad time sits in the plan's last run
+    q = CountingQueue()
     q.schedule(5.0, lambda: None)
     q.run_all()
     for bad in (4.999, math.nan):
         with pytest.raises(EngineError):
-            q.schedule_all([(6.0, print, ()), (bad, print, ())])
-    assert len(q) == 0  # nothing from a rejected plan is scheduled
+            q.schedule_all([(6.0, print, ())] * 4 + [(bad, print, ())])
+    # Nothing from a rejected plan is scheduled, and it takes no sequence number.
+    assert len(q) == 0 and q._seq == 1 and q.calls == 1
     fired = []
     q.schedule_all([(5.0, fired.append, ("now",))])
     q.schedule(5.0, fired.append, "next")
     q.run_all()
     assert fired == ["now", "next"]
+
+
+def test_schedule_all_keeps_a_planned_event_in_a_few_words():
+    """A 100,000-event plan costs at most 48 bytes per event once scheduled
+    and 64 during the call; one tuple, float and int per event cost ~136."""
+    n = 100_000
+    q = EventQueue()
+
+    def plan():
+        for i in range(n):
+            yield (i * 7919 % n) * 1e-4, print, ()
+
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        q.schedule_all(plan())
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (kept - base) / n <= 48
+    assert (peak - base) / n <= 64
+    assert len(q) == -(-n // engine.FEED_RUN)
 
 
 # ===== energy model =====

@@ -846,6 +846,19 @@ def test_a_scenario_path_that_cannot_be_read_is_a_scenario_error_naming_it(tmp_p
     assert f"cannot read scenario file {tmp_path}" in capsys.readouterr().err
 
 
+def test_a_scenario_or_case_file_that_is_not_utf8_is_named_in_the_error(tmp_path, data_dir, capsys):
+    scenario = tmp_path / "x.ini"
+    scenario.write_bytes(b"[case]\npath = \xff.case\n")
+    with pytest.raises(ScenarioError, match=rf"^cannot read scenario file {re.escape(str(scenario))}: not UTF-8"):
+        load_scenario(str(scenario))
+    case = tmp_path / "bad.case"
+    case.write_bytes((data_dir / "line3.case").read_bytes() + b"# \xff\n")
+    scenario.write_text(f"[case]\npath = {case}\n")
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(scenario)]) == 1
+    assert f"error: cannot read case file {case}: not UTF-8" in capsys.readouterr().err
+
+
 def test_cli_audit_failure_exits_3(mini_ini, monkeypatch, capsys):
     def leaky_run(*args, **kwargs):
         raise AuditError("reading 7 is in_flight but neither delivered, dropped nor held")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -77,6 +78,18 @@ def test_a_bus_in_two_substations_is_refused_with_both_named():
     with pytest.raises(CaseError) as built:
         PowerCase("grid", [1, 2], [], subs)
     assert str(built.value) == message
+
+
+def test_a_branch_to_an_unknown_bus_is_refused_when_built_directly():
+    with pytest.raises(CaseError, match=r"^grid: branch references unknown bus 2$"):
+        PowerCase("grid", [1], [(1, 2)], {1: Substation(1, (0.0, 0.0), (1,))})
+
+
+def test_a_case_file_that_is_not_utf8_is_a_case_error_naming_it(tmp_path):
+    path = tmp_path / "latin1.case"
+    path.write_bytes(b"bus 1\n# caf\xe9\nsubstation 1 0 0 : 1\n")
+    with pytest.raises(CaseError, match=rf"^cannot read case file {re.escape(str(path))}: not UTF-8"):
+        load_power_case(str(path))
 
 
 def test_parse_accepts_comments_and_blanks():
