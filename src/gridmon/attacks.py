@@ -73,7 +73,11 @@ def apply_attack(
     for nid in sorted(config.blackhole_nodes | config.tamper_nodes | {n for n, _ in config.grayhole}):
         if nid not in wireless:
             raise AttackError(f"attack references non-wireless node {nid}")
+    seen = set()
     for nid, prob in config.grayhole:
+        if nid in seen:
+            raise AttackError(f"grayhole lists node {nid} twice")
+        seen.add(nid)
         if not 0.0 <= prob <= 1.0:
             raise AttackError(f"grayhole probability {prob} for node {nid} not in [0, 1]")
     if config.compromised_count < 0 or config.tamper_count < 0:

@@ -25,8 +25,10 @@ inside and picks one of three paths by its input:
 RC5 key schedules are memoized per key; ``protocol.seal`` keeps RC5-CTR
 counter blocks disjoint under a key (48-bit sequence, 16-bit block index).
 A ``CryptoMemo`` passed as ``memo=`` holds what one run would otherwise
-recompute: each keystream and ECDH key (a message's seal and its opens share
-the work), each key's HMAC pads, and the window table of the key it seals for.
+recompute: each keystream and ECDH key, each key's HMAC pads, and the window
+table of the key it seals for.  ECDH keys are kept under the unordered pair of
+public points (a*B = b*A), so an aggregate's ECDH key is computed once, by its
+seal, and both of its opens find it.
 """
 
 from __future__ import annotations
@@ -47,15 +49,19 @@ class CryptoError(ValueError):
 
 class CryptoMemo(OrderedDict):
     """Bounded memo of pure results within one run: RC5 keystreams keyed by
-    (key, counter base, length) and ECDH keys keyed by (curve, private key,
-    peer point).
+    (key, counter base, length) and ECDH keys keyed by (curve, P, Q), the two
+    public points in sorted order.  By ECDH symmetry either side finds the
+    key: a seal's ephemeral x recipient entry is the recipient x ephemeral
+    entry its opens look up, so an aggregate's seal and both opens share one
+    scalar multiplication.
 
     Holds at most ``LIMIT`` entries and drops the oldest first.  Beside them,
     and outside the bound, it keeps what a run reuses on every call: the
-    window table of each recipient key it seals for (``window_table``) and
-    the keyed HMAC states of each key it tags under (``hmac_pads``).  A run
-    owns one memo and empties it when it ends; callers that pass none
-    compute every result afresh.
+    window table of each recipient key it seals for (``window_table``), the
+    keyed HMAC states of each key it tags under (``hmac_pads``) and the public
+    point of each private key it opens under (``public_key``).  A run owns one
+    memo and empties it when it ends; callers that pass none compute every
+    result afresh.
     """
 
     LIMIT = 1024
@@ -64,6 +70,7 @@ class CryptoMemo(OrderedDict):
         super().__init__()
         self.tables: dict = {}
         self.hmac_states: dict = {}
+        self.publics: dict = {}
 
     def remember(self, key, value):
         self[key] = value
@@ -75,6 +82,7 @@ class CryptoMemo(OrderedDict):
         super().clear()
         self.tables.clear()
         self.hmac_states.clear()
+        self.publics.clear()
 
     def window_table(self, curve: CurveParams, point) -> tuple:
         """The window table of a curve point of order n, built at its first use."""
@@ -82,6 +90,13 @@ class CryptoMemo(OrderedDict):
         if table is None:
             table = self.tables[curve, point] = _window_table(curve, point)
         return table
+
+    def public_key(self, curve: CurveParams, private: int) -> tuple[int, int]:
+        """``private`` * G, computed at the private key's first use."""
+        public = self.publics.get((curve, private))
+        if public is None:
+            public = self.publics[curve, private] = scalar_mult(curve, private, curve.g)
+        return public
 
     def hmac_pads(self, key) -> tuple:
         """SHA-256 states that have absorbed ``key``'s inner and outer HMAC
@@ -414,20 +429,27 @@ def derive_key(curve: CurveParams, point: tuple[int, int]) -> bytes:
 
 def ecdh_shared(
     curve: CurveParams, private: int, peer_public, *, memo: CryptoMemo | None = None,
-    table: tuple | None = None,
+    table: tuple | None = None, public: tuple[int, int] | None = None,
 ) -> bytes:
     """Derive the pairwise key private * peer_public -> 16 bytes.
 
-    The checks run on every call; a ``memo`` then serves a (curve, private,
-    peer) triple it has seen without a scalar multiplication, and a
-    ``table`` of the peer's multiples is passed on to ``scalar_mult``.
+    The checks run on every call.  A ``memo`` then keys the result by the
+    unordered pair of the two public points, so it serves this pair without
+    a scalar multiplication whichever side computed it first.  Our own point
+    is ``public``, which a caller holding the key pair passes (it must be
+    private * G), or else the memo's ``public_key``.  A ``table`` of the
+    peer's multiples is passed on to ``scalar_mult``.
     """
     if not is_on_curve(curve, peer_public) or peer_public is None:
         raise CryptoError(f"peer public key {peer_public} is not on curve {curve.name}")
     if not 1 <= private <= curve.n - 1:
         raise CryptoError("private key out of range")
-    entry = (curve, private, peer_public)
-    key = None if memo is None else memo.get(entry)
+    key = entry = None
+    if memo is not None:
+        if public is None:
+            public = memo.public_key(curve, private)
+        entry = (curve, *sorted((public, peer_public)))
+        key = memo.get(entry)
     if key is None:
         shared = scalar_mult(curve, private, peer_public, table)
         if shared is None:
@@ -589,8 +611,9 @@ def pk_encrypt(
     point would still give the same ECDH output).  A small curve has few
     ephemeral keys, so two seals can share an ECDH output; give every seal
     its own id and they still share no key and no counter block.  ``memo``
-    is passed on to ``rc5_ctr``, so the opens can reuse the keystream, and
-    its window table of ``recipient_public`` serves the ECDH multiplication.
+    is passed on to ``ecdh_shared`` and ``rc5_ctr``, so the opens reuse the
+    ECDH key and the keystream, and its window table of ``recipient_public``
+    serves the ECDH multiplication.
     """
     if not is_on_curve(curve, recipient_public) or recipient_public is None:
         raise CryptoError("recipient public key is not on the curve")
@@ -598,10 +621,11 @@ def pk_encrypt(
         raise CryptoError(f"seal id {seal_id} outside [0, 2**48)")
     eph = keypair_generate(curve, rng)
     sid = seal_id.to_bytes(_SEAL_ID_BYTES, "big")
-    # A fresh ephemeral key: its ECDH output is not worth a memo entry, but
-    # the recipient's table, built at the memo's first seal, serves them all.
+    # The recipient's table, built at the memo's first seal, serves them all.
     table = None if memo is None else memo.window_table(curve, recipient_public)
-    shared = ecdh_shared(curve, eph.private, recipient_public, table=table)
+    shared = ecdh_shared(
+        curve, eph.private, recipient_public, memo=memo, table=table, public=eph.public
+    )
     rc5_key, mac_key = _pk_keys(shared, sid)
     ciphertext = rc5_ctr(rc5_key, seal_id << 16, plaintext, memo=memo)
     size = curve.byte_length
@@ -617,8 +641,10 @@ def pk_decrypt(
     ``ecdh_shared`` refuses an ephemeral point off the curve.
 
     ``memo`` is passed on to ``ecdh_shared`` and ``rc5_ctr``: an open reuses
-    the keystream of a seal made under the same memo, and a second open of
-    one payload its ECDH key too.
+    the ECDH key and the keystream of a seal made under the same memo.  The
+    memo finds the ECDH key only for the sealing pair of points, so another
+    private key or a changed ephemeral point multiplies afresh, and the tag
+    still decides.
     """
     size = curve.byte_length
     id_end = 2 * size + _SEAL_ID_BYTES

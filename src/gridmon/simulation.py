@@ -105,7 +105,9 @@ class Simulation:
         self.reroutes = 0
         self._reading_seq = 0
         self._aggregate_seq = 0
-        # Keystreams and ECDH keys a seal computed, for its opens; emptied when the run ends.
+        # Keystreams and ECDH keys a seal computed, for its opens: an aggregate's
+        # ECDH key is computed once for its seal and both server opens.
+        # Emptied when the run ends.
         self._crypto_memo = CryptoMemo()
         self._cn_cache: dict[int, tuple[float, int]] = {}
 

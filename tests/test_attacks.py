@@ -118,6 +118,14 @@ def test_rejects_bad_probability_and_counts():
         resolve(AttackConfig(compromised_count=20, tamper_count=11))
 
 
+def test_rejects_a_grayhole_node_listed_twice():
+    # Not the last probability silently winning: the node is named.
+    for grayhole in (((105, 0.9), (105, 0.1)), ((105, 0.5), (106, 0.5), (105, 0.5))):
+        with pytest.raises(AttackError, match="^grayhole lists node 105 twice$"):
+            resolve(AttackConfig(grayhole=grayhole))
+    assert resolve(AttackConfig(grayhole=((105, 0.9), (106, 0.1)))).grayholes == {105: 0.9, 106: 0.1}
+
+
 # ===== behavior gating =====
 
 

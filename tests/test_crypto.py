@@ -697,14 +697,90 @@ def test_ecdh_with_a_memo_equals_ecdh_without_and_still_checks_its_inputs(monkey
             assert ecdh_shared(TOY, private, peer, memo=memo) == derive_key(
                 TOY, real(TOY, private, peer)
             )
-    assert len(memo) == len(pairs)
-    assert len(mults) == 18 + len(pairs)  # 18 key pairs, then one multiplication per pair
+    # Keyed by the unordered pair of public points: a*B and b*A share one entry.
+    unordered = 18 * 19 // 2
+    assert len(memo) == unordered
+    # 18 key pairs, the memo's 18 own public points, then one multiplication per pair.
+    assert len(mults) == 18 + 18 + unordered
     with pytest.raises(CryptoError):
         ecdh_shared(TOY, 3, (2, 2), memo=memo)
     with pytest.raises(CryptoError):
         ecdh_shared(TOY, 0, pairs[0][1], memo=memo)
     with pytest.raises(CryptoError):
         ecdh_shared(TOY, TOY.n, pairs[0][1], memo=memo)
+    with pytest.raises(CryptoError):
+        ecdh_shared(TOY, 3 + TOY.n, pairs[0][1], memo=memo)
+    assert len(memo) == unordered and len(mults) == 18 + 18 + unordered
+
+
+def sealed_under_a_memo(curve, seed):
+    """A key pair, a payload sealed for it under a memo, and that memo, which
+    then holds the seal's ECDH entry."""
+    rng = random.Random(seed)
+    kp = keypair_generate(curve, rng)
+    memo = CryptoMemo()
+    sealed = pk_encrypt(curve, kp.public, b"one window's aggregate", rng, 5, memo=memo)
+    size = curve.byte_length
+    eph = (int.from_bytes(sealed[:size], "big"), int.from_bytes(sealed[size : 2 * size], "big"))
+    assert (curve, *sorted((eph, kp.public))) in memo
+    return kp, sealed, memo
+
+
+def with_ephemeral_y(curve, sealed, y):
+    size = curve.byte_length
+    return sealed[:size] + y.to_bytes(size, "big") + sealed[2 * size :]
+
+
+@pytest.mark.parametrize("curve", [TOY, SECP], ids=lambda c: c.name)
+def test_an_open_reuses_its_seals_ecdh_key_only_for_the_sealing_pair(curve, monkeypatch):
+    kp, sealed, memo = sealed_under_a_memo(curve, f"reuse {curve.name}")
+    mults = []
+    real = crypto.scalar_mult
+    monkeypatch.setattr(crypto, "scalar_mult", lambda *args: mults.append(args) or real(*args))
+    assert pk_decrypt(curve, kp.private, sealed, memo=memo) == b"one window's aggregate"
+    assert [args[2] for args in mults] == [curve.g]  # only the memo learning our public point
+    # Another private key -- but not n - d, whose shared point is the negation
+    # of ours and so has the same x -- multiplies afresh and fails on the tag.
+    other = kp.private % (curve.n - 1) + 1
+    assert other not in (kp.private, curve.n - kp.private)
+    with pytest.raises(CryptoError, match="tag"):
+        pk_decrypt(curve, other, sealed, memo=memo)
+    with pytest.raises(CryptoError, match="out of range"):
+        pk_decrypt(curve, kp.private + curve.n, sealed, memo=memo)
+    y = int.from_bytes(sealed[curve.byte_length : 2 * curve.byte_length], "big")
+    with pytest.raises(CryptoError, match="tag"):
+        pk_decrypt(curve, kp.private, with_ephemeral_y(curve, sealed, curve.p - y), memo=memo)
+    with pytest.raises(CryptoError, match="not on curve"):
+        pk_decrypt(curve, kp.private, with_ephemeral_y(curve, sealed, (y + 1) % curve.p), memo=memo)
+    # None of the refusals spoiled the seal's entry.
+    assert pk_decrypt(curve, kp.private, sealed, memo=memo) == b"one window's aggregate"
+
+
+def test_every_other_toy_private_key_opens_under_the_sealing_memo_as_without_it():
+    kp, sealed, memo = sealed_under_a_memo(TOY, "every other key")
+    for private in range(1, TOY.n):
+        outcomes = []
+        for m in (memo, None):
+            try:
+                outcomes.append(pk_decrypt(TOY, private, sealed, memo=m))
+            except CryptoError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], private
+        # Only d and n - d give the sealing x coordinate.
+        opened = outcomes[0] == b"one window's aggregate"
+        assert opened == (private in (kp.private, TOY.n - kp.private)), private
+
+
+@pytest.mark.parametrize("private", range(1, TOY.n))
+def test_an_open_under_a_fresh_memo_equals_the_open_under_the_sealing_memo(private):
+    rng = random.Random(private)
+    kp = keypair_from_private(TOY, private)
+    sealing = CryptoMemo()
+    for seal_id in range(4):
+        plaintext = rng.randbytes(24)
+        sealed = pk_encrypt(TOY, kp.public, plaintext, rng, seal_id, memo=sealing)
+        served = pk_decrypt(TOY, private, sealed, memo=sealing)
+        assert served == pk_decrypt(TOY, private, sealed, memo=CryptoMemo()) == plaintext
 
 
 @pytest.mark.parametrize("curve", [TOY, SECP], ids=lambda c: c.name)

@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridmon.attacks import AttackConfig
@@ -345,6 +345,20 @@ def test_attack_the_deployment_cannot_take_is_a_scenario_error(scenarios_dir, gr
         run_simulation(cfg)
 
 
+def test_a_scenario_file_listing_a_grayhole_node_twice_fails_naming_it(
+    scenarios_dir, cases_dir, tmp_path, capsys
+):
+    text = (scenarios_dir / "ieee14.ini").read_text()
+    ini = tmp_path / "twice.ini"
+    ini.write_text(
+        text.replace("../cases/ieee14.case", str(cases_dir / "ieee14.case"))
+        + "\n[attack]\ngrayhole = 22:0.9 22:0.1\n"
+    )
+    assert load_scenario(str(ini)).attack.grayhole == ((22, 0.9), (22, 0.1))
+    assert main(["run", "--scenario", str(ini)]) == 1
+    assert "error: [attack] grayhole lists node 22 twice" in capsys.readouterr().err
+
+
 def ring_route(ring, from_id, to_id):
     """The shorter arc of ``ring`` (closed from its last node to its first), forward on a tie."""
     i, j = ring.index(from_id), ring.index(to_id)
@@ -439,11 +453,13 @@ def test_a_run_computes_each_keystream_once_and_each_open_reuses_one(
     assert first["_keystream"] == sealed
     # From scratch, each key pair and each ECDH is one scalar multiplication.
     saved = first["keypair_from_private"] + first["ecdh_shared"] - first["scalar_mult"]
+    # Both opens find the seal's ECDH key; the memo computes the control
+    # center's public point once to look it up.
     if curve == "secp256k1":
-        assert saved == first["pk_encrypt"]  # the backup server's open
+        assert saved == 2 * first["pk_encrypt"] - 1
     else:
-        # 18 ephemeral keys: the opens also meet earlier aggregates' ECDH inputs.
-        assert saved >= first["pk_encrypt"]
+        # 18 ephemeral keys: the seals also meet earlier aggregates' ECDH keys.
+        assert saved >= 2 * first["pk_encrypt"] - 1
     assert largest == crypto.CryptoMemo.LIMIT  # reached, never passed
 
 
@@ -598,12 +614,12 @@ def test_hop_tables_hold_the_per_hop_model_costs(scenarios_dir, monkeypatch, rou
     )
 
 
-# Timings a scenario file may set; k_test = 0 is refused.  The window stays at
-# 50 ms or more: a run schedules horizon / window flush ticks.
+# Timings a scenario file may set; k_test = 0 is refused.  The window reaches
+# down to validate()'s 10 ms floor.
 _TIMING = {
     "setup_s": st.floats(0.01, 2.0),
     "k_test": st.integers(0, 12),
-    "aggregation_window_s": st.floats(0.05, 2.0),
+    "aggregation_window_s": st.floats(0.01, 2.0),
     "settle_s": st.floats(0.0, 2.0),
     "intra_substation_latency_s": st.floats(0.0, 0.05),
     "wired_latency_s": st.floats(0.0, 0.05),
@@ -619,6 +635,10 @@ _BAD = st.one_of(st.none(), st.tuples(
 @settings(max_examples=150)
 @given(case=st.sampled_from(["line3", "ieee14"]), seed=st.integers(0, 3),
        timing=st.fixed_dictionaries(_TIMING), bad=_BAD)
+@example(case="ieee14", seed=1, bad=None, timing={
+    "setup_s": 0.5, "k_test": 5, "aggregation_window_s": 0.01, "settle_s": 0.5,
+    "intra_substation_latency_s": 0.001, "wired_latency_s": 0.002, "duration_s": 2.0,
+})
 def test_fuzzed_timing_ends_audited_or_raises_scenario_error(case, seed, timing, bad):
     if case == "ieee14":
         base = load_scenario(str(ROOT / "scenarios" / "ieee14.ini"))
