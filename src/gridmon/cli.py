@@ -30,6 +30,12 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _output_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got an empty string")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gridmon",
                                      description="hybrid grid-monitoring network simulator")
@@ -38,8 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one scenario")
     p_run.add_argument("--scenario", required=True, help="scenario .ini file")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_run.add_argument("--out", default=None, help="write the metrics row to this CSV")
-    p_run.add_argument("--trace", default=None, help="write the event trace to this file")
+    p_run.add_argument("--out", type=_output_path, default=None,
+                       help="write the metrics row to this CSV")
+    p_run.add_argument("--trace", type=_output_path, default=None,
+                       help="write the event trace to this file")
 
     p_sweep = sub.add_parser("sweep", help="sweep an attack axis")
     p_sweep.add_argument("--scenario", required=True)
@@ -48,12 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated attacker counts, e.g. 0,1,2,4")
     p_sweep.add_argument("--seeds", required=True, type=_int_list,
                          help="comma-separated seeds, e.g. 1,2,3")
-    p_sweep.add_argument("--out", required=True, help="output CSV")
+    p_sweep.add_argument("--out", required=True, type=_output_path, help="output CSV")
 
     p_topo = sub.add_parser("topology", help="export the graph a run builds")
     p_topo.add_argument("--scenario", required=True, help="scenario .ini file")
     p_topo.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_topo.add_argument("--out", required=True, help="output node/edge list")
+    p_topo.add_argument("--out", required=True, type=_output_path, help="output node/edge list")
     return parser
 
 
@@ -66,7 +74,7 @@ def _cmd_run(args) -> int:
           f"pmu_delivery_ratio={record.pmu_delivery_ratio:.4f} "
           f"tamper_rejections={record.tamper_rejections} "
           f"energy_j={record.energy_consumed_j:.3f}")
-    if args.out:
+    if args.out is not None:
         export_csv([record.as_row()], args.out, fieldnames=MetricsRecord.field_names())
     return 0
 

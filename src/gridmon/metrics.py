@@ -4,11 +4,17 @@ Every reading is tracked from generation to a terminal state: once a run
 drains, each one is delivered, dropped with a known cause, or still held at
 a sink.  A reading rescued by a retransmission counts as delivered, not
 dropped.
+
+The event trace goes to an anonymous temporary file as the run goes, a batch
+of lines at a time, so a long run never holds its whole trace in memory.
 """
 
 from __future__ import annotations
 
 import csv
+import shutil
+import tempfile
+import weakref
 from dataclasses import dataclass, fields
 
 from .protocol import PacketKind, SensorReading
@@ -190,20 +196,48 @@ class MetricsRecord:
 # ===== trace log =====
 
 
+# Trace lines held in memory before they are written to the spool file
+# together; one write per batch costs less than one per line.
+_BATCH = 4096
+
+
 class TraceLog:
-    """Ordered event lines; format is stable so equal seeds give equal bytes."""
+    """Ordered event lines; format is stable so equal seeds give equal bytes.
+
+    Lines are kept in an anonymous temporary file, the spool, which ``write``
+    copies to its destination.  The spool is closed when the log is collected,
+    whether or not it was ever written.
+    """
 
     def __init__(self):
-        self.lines: list[str] = []
+        self._batch: list[str] = []
+        spool = tempfile.TemporaryFile()
+        self._spool = spool
+        weakref.finalize(self, spool.close)
 
     def event(self, t: float, ev: str, pkt: int, src: int, dst: int, kind: str) -> None:
-        self.lines.append(f"t={t:.6f} ev={ev} pkt={pkt} src={src} dst={dst} kind={kind}")
+        batch = self._batch
+        batch.append(f"t={t:.6f} ev={ev} pkt={pkt} src={src} dst={dst} kind={kind}\n")
+        if len(batch) >= _BATCH:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._batch:
+            self._spool.write("".join(self._batch).encode("utf-8"))
+            self._batch.clear()
+
+    @property
+    def lines(self) -> list[str]:
+        """Every line so far, read back from the spool."""
+        self._flush()
+        self._spool.seek(0)
+        return self._spool.read().decode("utf-8").splitlines()
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in self.lines:
-                fh.write(line)
-                fh.write("\n")
+        self._flush()
+        self._spool.seek(0)
+        with open(path, "wb") as fh:
+            shutil.copyfileobj(self._spool, fh)
 
 
 # ===== CSV export =====

@@ -31,9 +31,9 @@ def run_simulation(cfg: ScenarioConfig, seed: int | None = None,
 
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None,
                  trace_path: str | None = None) -> MetricsRecord:
-    trace = TraceLog() if trace_path else None
+    trace = TraceLog() if trace_path is not None else None
     sim = run_simulation(cfg, seed, trace)
-    if trace_path:
+    if trace is not None:
         trace.write(trace_path)
     return sim.metrics
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+import warnings
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridmon import metrics
 from gridmon.metrics import (
     AuditError,
     MetricsRecord,
@@ -189,6 +194,70 @@ def test_trace_write_roundtrip(tmp_path):
     out = tmp_path / "trace.log"
     log.write(str(out))
     assert out.read_text() == "t=0.002000 ev=deliver pkt=1 src=5 dst=6 kind=pmu\n"
+
+
+def trace_events(log, n, start=0):
+    for i in range(start, start + n):
+        log.event(i / 1000, "send", pkt=i, src=i % 7, dst=i % 11, kind="scada")
+
+
+@pytest.mark.parametrize("n", [0, 1, metrics._BATCH, metrics._BATCH + 1, 3 * metrics._BATCH + 7])
+def test_trace_write_holds_every_line_across_batch_edges(tmp_path, n):
+    log = TraceLog()
+    trace_events(log, n)
+    first, second = tmp_path / "first.log", tmp_path / "second.log"
+    log.write(str(first))
+    log.write(str(second))
+    lines = log.lines
+    assert lines == [f"t={i / 1000:.6f} ev=send pkt={i} src={i % 7} dst={i % 11} kind=scada"
+                     for i in range(n)]
+    assert first.read_bytes() == "".join(l + "\n" for l in lines).encode("utf-8")
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_trace_events_after_a_read_or_write_keep_their_order(tmp_path):
+    log = TraceLog()
+    trace_events(log, 5)
+    log.write(str(tmp_path / "early.log"))
+    assert len(log.lines) == 5
+    trace_events(log, metrics._BATCH + 3, start=5)
+    assert len(log.lines) == metrics._BATCH + 8
+    trace_events(log, 2, start=metrics._BATCH + 8)
+    out = tmp_path / "late.log"
+    log.write(str(out))
+    pkts = [int(line.split()[2][4:]) for line in out.read_text().splitlines()]
+    assert pkts == list(range(metrics._BATCH + 10))
+    assert log.lines == out.read_text().splitlines()
+
+
+def test_a_dropped_unwritten_trace_log_leaves_no_open_file():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        log = TraceLog()
+        trace_events(log, metrics._BATCH + 1)
+        del log
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_trace_log_memory_stays_bounded_as_the_trace_grows(tmp_path):
+    # A trace held as one str per line takes ~110 B a line, ~11 MB here.
+    n = 100_000
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        log = TraceLog()
+        trace_events(log, n)
+        log.write(str(tmp_path / "trace.log"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak - base <= 2_000_000
+    assert (tmp_path / "trace.log").read_text().count("\n") == n
 
 
 # ===== csv io =====

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import gc
 import hashlib
 import math
 import random
 import re
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -788,6 +790,38 @@ def test_cli_run_is_reproducible_at_the_byte_level(mini_ini, tmp_path):
     assert main(["run", "--scenario", str(mini_ini), "--trace", str(t1)]) == 0
     assert main(["run", "--scenario", str(mini_ini), "--trace", str(t2)]) == 0
     assert t1.read_bytes() == t2.read_bytes()
+
+
+def test_a_traced_run_that_fails_part_way_leaves_no_open_file(mini_ini, tmp_path, monkeypatch):
+    def refuse(sim, server_id, pkt):
+        assert sim.trace.lines, "the run should have traced events before it fails"
+        raise ScenarioError("backup server got an aggregate before the shared private key")
+
+    monkeypatch.setattr(gridmon.simulation.Simulation, "_server_receive", refuse)
+    trace = tmp_path / "events.log"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ScenarioError, match="backup server"):
+            run_scenario(load_scenario(str(mini_ini)), trace_path=str(trace))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--trace", ""],
+    ["run", "--out", ""],
+    ["sweep", "--axis", "compromised", "--values", "1", "--seeds", "1", "--out", ""],
+    ["topology", "--out", ""],
+])
+def test_cli_empty_output_path_is_a_usage_error(mini_ini, monkeypatch, capsys, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a usage error must stop the command before any run")
+
+    for name in ("run_scenario", "sweep", "build_run_topology"):
+        monkeypatch.setattr(gridmon.cli, name, no_run)
+    assert main([argv[0], "--scenario", str(mini_ini), *argv[1:]]) == 2
+    assert "got an empty string" in capsys.readouterr().err
 
 
 def test_cli_sweep_writes_csv(mini_ini, tmp_path):
