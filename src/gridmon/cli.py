@@ -5,13 +5,15 @@ Subcommands:
   sweep     repeat a scenario along an attack axis over several seeds
   topology  export the communication graph a run of the scenario builds
 
-Exit codes: 0 on success, 1 on configuration or input errors, 2 on usage
+Exit codes: 0 on success, 1 on configuration or input errors (an output
+path that cannot be written among them, found before any work), 2 on usage
 errors (unknown flags, missing arguments), 3 when a run's ledger audit fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .metrics import AuditError, MetricsRecord, export_csv
@@ -34,6 +36,20 @@ def _output_path(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("expected a file path, got an empty string")
     return text
+
+
+def _refuse_unwritable(*paths: str | None) -> None:
+    """Refuse an output path that could not be written, before any work is
+    done: an existing directory, or a path whose parent is not a writable
+    directory.  Creates no file."""
+    for path in paths:
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise OSError(f"cannot write {path}: {parent} is not a writable directory")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,6 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     handler = {"run": _cmd_run, "sweep": _cmd_sweep, "topology": _cmd_topology}[args.command]
     try:
+        _refuse_unwritable(args.out, getattr(args, "trace", None))
         return handler(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -169,7 +169,11 @@ class Simulation:
                 if (gw, kind) not in sensed:
                     continue
                 sink_id = sinks[self.nodes[gw].region]
-                shared = ecdh_shared(self.curve, gw_kp.private, sink_keys[sink_id].public)
+                sink_kp = sink_keys[sink_id]
+                # Both key pairs are ours, so G's window table serves the key.
+                shared = ecdh_shared(
+                    self.curve, gw_kp.private, sink_kp.public, peer_private=sink_kp.private
+                )
                 label = f"pair:{gw}:{kind.value}:".encode()
                 key = hashlib.sha256(label + shared).digest()[:16]
                 self.flows[(gw, kind)] = Flow(key, self.nodes[sink_id])

@@ -401,9 +401,9 @@ def test_one_ecdh_per_sensed_flow(scenarios_dir, monkeypatch):
     calls = []
     ecdh = gridmon.simulation.ecdh_shared
 
-    def counting_ecdh(*args):
+    def counting_ecdh(*args, **kwargs):
         calls.append(args)
-        return ecdh(*args)
+        return ecdh(*args, **kwargs)
 
     monkeypatch.setattr(gridmon.simulation, "ecdh_shared", counting_ecdh)
     cfg = load_scenario(str(scenarios_dir / "ieee14.ini"))
@@ -411,6 +411,30 @@ def test_one_ecdh_per_sensed_flow(scenarios_dir, monkeypatch):
     sensed = {(route[-1], kind) for kind, route, _, _ in sim.sensors}
     assert set(sim.flows) == sensed
     assert len(calls) == len(sensed) == 14
+
+
+@pytest.mark.parametrize("scenario, curve", [
+    ("ieee14", "toy17"), ("ieee14", "secp256k1"), ("ieee118", "secp256k1"),
+])
+def test_each_set_up_key_is_the_key_computed_from_scratch(
+    scenarios_dir, monkeypatch, scenario, curve
+):
+    """Tamper detection works under any key, so a wrong pairwise key would
+    show in no metric and no trace: pin each one to private * peer_public."""
+    ecdh = gridmon.simulation.ecdh_shared
+    keys = []
+
+    def checked_ecdh(curve_params, private, peer_public, **kwargs):
+        key = ecdh(curve_params, private, peer_public, **kwargs)
+        assert kwargs.get("peer_private") is not None  # the set-up's fast path ran
+        assert key == ecdh(curve_params, private, peer_public)
+        keys.append(key)
+        return key
+
+    monkeypatch.setattr(gridmon.simulation, "ecdh_shared", checked_ecdh)
+    cfg = dataclasses.replace(load_scenario(str(scenarios_dir / f"{scenario}.ini")), curve=curve)
+    sim = Simulation(build_run_topology(cfg, cfg.seed), cfg, cfg.seed)
+    assert len(keys) == len(sim.flows) > 0
 
 
 @pytest.mark.parametrize("curve", ["secp256k1", "toy17"])
@@ -822,6 +846,31 @@ def test_cli_empty_output_path_is_a_usage_error(mini_ini, monkeypatch, capsys, a
         monkeypatch.setattr(gridmon.cli, name, no_run)
     assert main([argv[0], "--scenario", str(mini_ini), *argv[1:]]) == 2
     assert "got an empty string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["run", "--trace", "{missing}"], "{missing}"),
+    (["run", "--out", "{missing}"], "{missing}"),
+    (["run", "--out", "{tmp}/row.csv", "--trace", "{tmp}"], "{tmp}"),
+    (["sweep", "--axis", "compromised", "--values", "1", "--seeds", "1", "--out", "{missing}"],
+     "{missing}"),
+    (["topology", "--out", "{tmp}"], "{tmp}"),
+])
+def test_cli_refuses_an_unwritable_output_before_loading_the_scenario(
+    mini_ini, tmp_path, monkeypatch, capsys, argv, refused
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("an unwritable output must stop the command before any run")
+
+    for name in ("load_scenario", "run_scenario", "sweep", "build_run_topology"):
+        monkeypatch.setattr(gridmon.cli, name, no_run)
+    paths = {"missing": tmp_path / "absent" / "x.log", "tmp": tmp_path}
+    argv = [part.format(**paths) for part in argv]
+    assert main([argv[0], "--scenario", str(mini_ini), *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # no summary line either
+    assert err.startswith(f"error: cannot write {refused.format(**paths)}")
+    assert list(tmp_path.iterdir()) == [mini_ini]  # no file made early
 
 
 def test_cli_sweep_writes_csv(mini_ini, tmp_path):
