@@ -40,13 +40,17 @@ def _output_path(text: str) -> str:
 
 def _refuse_unwritable(*paths: str | None) -> None:
     """Refuse an output path that could not be written, before any work is
-    done: an existing directory, or a path whose parent is not a writable
-    directory.  Creates no file."""
+    done: an existing directory or file we may not write, or a new path
+    whose parent is not a writable directory.  Creates no file."""
     for path in paths:
         if path is None:
             continue
         if os.path.isdir(path):
             raise OSError(f"cannot write {path}: it is a directory")
+        if os.path.exists(path):
+            if not os.access(path, os.W_OK):
+                raise OSError(f"cannot write {path}: permission denied")
+            continue
         parent = os.path.dirname(os.path.abspath(path))
         if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
             raise OSError(f"cannot write {path}: {parent} is not a writable directory")

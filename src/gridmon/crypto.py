@@ -430,7 +430,6 @@ def derive_key(curve: CurveParams, point: tuple[int, int]) -> bytes:
 def ecdh_shared(
     curve: CurveParams, private: int, peer_public, *, memo: CryptoMemo | None = None,
     table: tuple | None = None, public: tuple[int, int] | None = None,
-    peer_private: int | None = None,
 ) -> bytes:
     """Derive the pairwise key private * peer_public -> 16 bytes.
 
@@ -440,19 +439,11 @@ def ecdh_shared(
     is ``public``, which a caller holding the key pair passes (it must be
     private * G), or else the memo's ``public_key``.  A ``table`` of the
     peer's multiples is passed on to ``scalar_mult``.
-
-    A caller that generated both key pairs may pass the peer's
-    ``peer_private`` (it must be the private key of ``peer_public``).  The
-    shared point private * peer_public is then (private * peer_private mod n)
-    * G, the same point by the group law, multiplied from G's window table
-    instead of by a variable-base multiplication.
     """
     if not is_on_curve(curve, peer_public) or peer_public is None:
         raise CryptoError(f"peer public key {peer_public} is not on curve {curve.name}")
     if not 1 <= private <= curve.n - 1:
         raise CryptoError("private key out of range")
-    if peer_private is not None and not 1 <= peer_private <= curve.n - 1:
-        raise CryptoError("peer private key out of range")
     key = entry = None
     if memo is not None:
         if public is None:
@@ -460,10 +451,7 @@ def ecdh_shared(
         entry = (curve, *sorted((public, peer_public)))
         key = memo.get(entry)
     if key is None:
-        if peer_private is None:
-            shared = scalar_mult(curve, private, peer_public, table)
-        else:
-            shared = scalar_mult(curve, private * peer_private % curve.n, curve.g)
+        shared = scalar_mult(curve, private, peer_public, table)
         if shared is None:
             raise CryptoError("shared secret is the point at infinity")
         key = derive_key(curve, shared)

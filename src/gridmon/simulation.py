@@ -169,10 +169,11 @@ class Simulation:
                 if (gw, kind) not in sensed:
                     continue
                 sink_id = sinks[self.nodes[gw].region]
-                sink_kp = sink_keys[sink_id]
-                # Both key pairs are ours, so G's window table serves the key.
+                # Both key pairs are ours, so G's window table serves the key:
+                # (gw private * sink private mod n) * G = gw private * sink public.
                 shared = ecdh_shared(
-                    self.curve, gw_kp.private, sink_kp.public, peer_private=sink_kp.private
+                    self.curve, gw_kp.private * sink_keys[sink_id].private % self.curve.n,
+                    self.curve.g,
                 )
                 label = f"pair:{gw}:{kind.value}:".encode()
                 key = hashlib.sha256(label + shared).digest()[:16]

@@ -526,32 +526,6 @@ def test_ecdh_symmetry_secp256k1():
     assert is_on_curve(SECP, ka.public)
 
 
-_CURVE_AND_TWO_PRIVATES = st.sampled_from([TOY, SECP]).flatmap(
-    lambda c: st.tuples(st.just(c), st.integers(1, c.n - 1), st.integers(1, c.n - 1))
-)
-
-
-@given(_CURVE_AND_TWO_PRIVATES)
-@example((TOY, 1, TOY.n - 1))
-@example((SECP, SECP.n - 1, SECP.n - 1))
-def test_ecdh_with_the_peer_private_key_equals_ecdh_without(curve_and_privates):
-    curve, a, b = curve_and_privates
-    ka, kb = keypair_from_private(curve, a), keypair_from_private(curve, b)
-    from_scratch = ecdh_shared(curve, a, kb.public)
-    # (a * b mod n) * G from G's table is a * (b * G).
-    assert ecdh_shared(curve, a, kb.public, peer_private=b) == from_scratch
-    assert ecdh_shared(curve, b, ka.public, peer_private=a) == from_scratch
-    # Every check still runs, and the peer's private key has its own.
-    for private, peer_public, peer_private in [
-        (a, (0, 0), b),  # not on either curve
-        (a, None, b),  # the point at infinity
-        (0, kb.public, b), (curve.n, kb.public, b),
-        (a, kb.public, 0), (a, kb.public, curve.n),
-    ]:
-        with pytest.raises(CryptoError):
-            ecdh_shared(curve, private, peer_public, peer_private=peer_private)
-
-
 # ===== hybrid sealing =====
 
 

@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import os
 import random
 import re
 import time
@@ -401,9 +402,9 @@ def test_one_ecdh_per_sensed_flow(scenarios_dir, monkeypatch):
     calls = []
     ecdh = gridmon.simulation.ecdh_shared
 
-    def counting_ecdh(*args, **kwargs):
+    def counting_ecdh(*args):
         calls.append(args)
-        return ecdh(*args, **kwargs)
+        return ecdh(*args)
 
     monkeypatch.setattr(gridmon.simulation, "ecdh_shared", counting_ecdh)
     cfg = load_scenario(str(scenarios_dir / "ieee14.ini"))
@@ -420,21 +421,29 @@ def test_each_set_up_key_is_the_key_computed_from_scratch(
     scenarios_dir, monkeypatch, scenario, curve
 ):
     """Tamper detection works under any key, so a wrong pairwise key would
-    show in no metric and no trace: pin each one to private * peer_public."""
-    ecdh = gridmon.simulation.ecdh_shared
-    keys = []
+    show in no metric and no trace: pin each one to gateway private * sink
+    public, from the key pairs the set-up drew."""
+    drawn = []
+    keypair_generate = gridmon.simulation.keypair_generate
 
-    def checked_ecdh(curve_params, private, peer_public, **kwargs):
-        key = ecdh(curve_params, private, peer_public, **kwargs)
-        assert kwargs.get("peer_private") is not None  # the set-up's fast path ran
-        assert key == ecdh(curve_params, private, peer_public)
-        keys.append(key)
-        return key
+    def recording_keypair_generate(*args):
+        drawn.append(keypair_generate(*args))
+        return drawn[-1]
 
-    monkeypatch.setattr(gridmon.simulation, "ecdh_shared", checked_ecdh)
+    monkeypatch.setattr(gridmon.simulation, "keypair_generate", recording_keypair_generate)
     cfg = dataclasses.replace(load_scenario(str(scenarios_dir / f"{scenario}.ini")), curve=curve)
     sim = Simulation(build_run_topology(cfg, cfg.seed), cfg, cfg.seed)
-    assert len(keys) == len(sim.flows) > 0
+    # Drawn in order: the control center's, each sink's, each gateway's.
+    pairs = iter(drawn[1:])
+    sink_kp = {sinks[rid]: next(pairs)
+               for sinks in sim._sinks.values() for rid in sorted(sinks)}
+    gw_of = sim.topo.gateway_of_substation
+    gw_kp = {gw_of[sid]: next(pairs) for sid in sorted(gw_of)}
+    assert next(pairs, None) is None and sim.flows
+    for (gw, kind), flow in sim.flows.items():
+        shared = crypto.ecdh_shared(sim.curve, gw_kp[gw].private, sink_kp[flow.sink.id].public)
+        label = f"pair:{gw}:{kind.value}:".encode()
+        assert flow.key == hashlib.sha256(label + shared).digest()[:16]
 
 
 @pytest.mark.parametrize("curve", ["secp256k1", "toy17"])
@@ -871,6 +880,30 @@ def test_cli_refuses_an_unwritable_output_before_loading_the_scenario(
     assert out == ""  # no summary line either
     assert err.startswith(f"error: cannot write {refused.format(**paths)}")
     assert list(tmp_path.iterdir()) == [mini_ini]  # no file made early
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
+def test_cli_judges_an_existing_output_file_by_its_own_permission(
+    mini_ini, tmp_path, monkeypatch, capsys
+):
+    """An existing file is written in place, so its own permission decides,
+    not its directory's: a writable file in a read-only directory is
+    accepted, a read-only file is refused before the scenario is read."""
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    writable, read_only = locked / "topo.txt", locked / "read_only.txt"
+    writable.write_text("")
+    read_only.write_text("")
+    read_only.chmod(0o444)
+    locked.chmod(0o555)
+    try:
+        assert main(["topology", "--scenario", str(mini_ini), "--out", str(writable)]) == 0
+        assert writable.read_text() != ""
+        monkeypatch.setattr(gridmon.cli, "load_scenario", lambda *args: pytest.fail("loaded"))
+        assert main(["topology", "--scenario", str(mini_ini), "--out", str(read_only)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {read_only}: permission denied\n"
+    finally:
+        locked.chmod(0o755)
 
 
 def test_cli_sweep_writes_csv(mini_ini, tmp_path):
