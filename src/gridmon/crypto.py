@@ -13,14 +13,15 @@ RC5 and MAC keys.
 
 Points are affine ``(x, y)`` tuples; ``None`` is the point at infinity.
 The API stays affine, but ``scalar_mult`` works in Jacobian coordinates
-inside and picks one of three paths by its input:
+inside and picks one of two paths by its input:
 
 * a point with a fixed-base window table: ``G`` of any curve, whose table is
   built once per curve, or a point whose table the caller passes in (a
   run's ``CryptoMemo`` builds one for the control-center key);
-* any other point on secp256k1: the GLV endomorphism splits ``k`` into two
-  ~128-bit halves whose width-5 NAF digits share one doubling chain;
-* anything else (toy17, off-curve input): left-to-right double-and-add.
+* any other point: left-to-right double-and-add.  A simulation run takes
+  this path only for an open whose seal's ECDH key its bounded memo has
+  dropped: its key pairs and set-up keys come from ``G``, and its seals
+  from the control-center key's table.
 
 RC5 key schedules are memoized per key; ``protocol.seal`` keeps RC5-CTR
 counter blocks disjoint under a key (48-bit sequence, 16-bit block index).
@@ -36,7 +37,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac as _hmac
-import itertools
 import random
 import struct
 from collections import OrderedDict
@@ -165,7 +165,10 @@ def is_on_curve(curve: CurveParams, point) -> bool:
 
 
 def point_add(curve: CurveParams, p1, p2):
-    """Chord-and-tangent addition. Inputs must lie on the curve."""
+    """Chord-and-tangent addition. Inputs must lie on the curve.
+
+    The affine reference that the Jacobian formulas below are tested against.
+    """
     if p1 is None:
         return p2
     if p2 is None:
@@ -290,97 +293,15 @@ def _g_table(curve: CurveParams) -> tuple:
     return _window_table(curve, curve.g)
 
 
-# secp256k1's efficiently computable endomorphism (SEC 2 v2, section 2.4.1):
-# (x, y) -> (BETA*x, y) is multiplication by LAMBDA, with BETA and LAMBDA
-# cube roots of unity mod p and mod n.  (A1, B1) and (A2, B2) are short
-# vectors of the lattice {(i, j) : i + j*LAMBDA = 0 mod n}.
-_SECP256K1 = CURVES["secp256k1"]
-_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
-_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
-_A1 = _B2 = 0x3086D221A7D46BCDE86C90E49284EB15
-_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
-_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
-_NAF_WIDTH = 5
-
-
-def _glv_split(k: int) -> tuple[int, int]:
-    """(k1, k2) with k1 + k2*LAMBDA = k (mod n), each at most ~129 bits.
-
-    Subtracts from (k, 0) the lattice vector nearest to it (Hankerson,
-    Menezes and Vanstone, Algorithm 3.74); c1 and c2 are rounded quotients.
-    """
-    n = _SECP256K1.n
-    c1 = (2 * _B2 * k + n) // (2 * n)
-    c2 = (-2 * _B1 * k + n) // (2 * n)
-    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
-
-
-def _wnaf(k: int) -> list[int]:
-    """Width-5 NAF of k >= 0, least significant digit first.
-
-    Every digit is zero or odd with |d| < 16, any two nonzero digits are at
-    least five positions apart, and sum(d * 2**i) == k (Algorithm 3.35).
-    """
-    window = 1 << _NAF_WIDTH
-    digits = []
-    while k:
-        d = 0
-        if k & 1:
-            d = k & (window - 1)  # k mods 2**w: the residue in [-16, 16)
-            if d >= window // 2:
-                d -= window
-            k -= d
-        digits.append(d)
-        k >>= 1
-    return digits
-
-
-def _odd_multiples(curve: CurveParams, point) -> list:
-    """Affine P, 3P, ..., 15P for a point of order n > 15.
-
-    The sums run in Jacobian coordinates from affine 2P and share one
-    inversion, so the table costs two inversions.
-    """
-    twice = point_add(curve, point, point)
-    jac = [(point[0], point[1], 1)]
-    for _ in range(2 ** (_NAF_WIDTH - 2) - 1):
-        jac.append(_jacobian_add_affine(curve, jac[-1], twice))
-    return _all_to_affine(curve, jac)
-
-
-def _glv_mult(curve: CurveParams, k: int, point):
-    """k*P on secp256k1 for P on the curve: two interleaved width-5 NAFs."""
-    p = curve.p
-    odd = _odd_multiples(curve, point)
-    halves = []
-    for half, table in zip(_glv_split(k % curve.n), (odd, [(_BETA * x % p, y) for x, y in odd])):
-        sign = 1 if half >= 0 else -1
-        digit_point = {}
-        for j, (x, y) in enumerate(table):
-            digit_point[sign * (2 * j + 1)] = (x, y)
-            digit_point[-sign * (2 * j + 1)] = (x, p - y)
-        halves.append((_wnaf(abs(half)), digit_point))
-    (naf1, lookup1), (naf2, lookup2) = halves
-    acc = None
-    for d1, d2 in reversed(list(itertools.zip_longest(naf1, naf2, fillvalue=0))):
-        acc = _jacobian_double(curve, acc)
-        if d1:
-            acc = _jacobian_add_affine(curve, acc, lookup1[d1])
-        if d2:
-            acc = _jacobian_add_affine(curve, acc, lookup2[d2])
-    return _to_affine(curve, acc)
-
-
 def scalar_mult(curve: CurveParams, k: int, point, table: tuple | None = None):
     """k*P for an affine point P; negative scalars are rejected.
 
     P is multiplied from a window table when the caller passes one --
     ``table`` must be P's, as ``CryptoMemo.window_table`` builds it -- and G
-    from its own, and any other point on secp256k1 by the GLV split, all
-    with k reduced mod n: G and a tabled point have order n, and so does
-    every point on secp256k1 (cofactor 1).  Every other input -- a toy17
-    point, or a point that fails ``is_on_curve`` -- goes by left-to-right
-    double-and-add on the unreduced k.
+    from its own, both with k reduced mod n, the order of G and of a tabled
+    point.  Every other input -- any other curve point, or a point that
+    fails ``is_on_curve`` -- goes by left-to-right double-and-add on the
+    unreduced k.
     """
     if k < 0:
         raise CryptoError("scalar must be non-negative")
@@ -393,8 +314,6 @@ def scalar_mult(curve: CurveParams, k: int, point, table: tuple | None = None):
         for row in table:
             acc = _jacobian_add_affine(curve, acc, row[k & mask])
             k >>= _WINDOW_BITS
-    elif point is not None and curve == _SECP256K1 and is_on_curve(curve, point):
-        return _glv_mult(curve, k, point)
     elif point is not None:
         for bit in bin(k)[2:]:
             acc = _jacobian_double(curve, acc)

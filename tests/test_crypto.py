@@ -30,10 +30,6 @@ from gridmon.crypto import (
     rc5_key_schedule,
     scalar_mult,
     tags_equal,
-    _BETA,
-    _LAMBDA,
-    _glv_split,
-    _wnaf,
 )
 from gridmon.runner import run_simulation
 from gridmon.scenario import load_scenario
@@ -346,10 +342,6 @@ def test_scalar_mult_matches_oracle_on_every_toy_point():
 
 SECP_OTHER_BASE = affine_scalar_mult(SECP, 0xC0FFEE, SECP.g)
 
-# Scalars whose GLV halves are negative: k1 < 0 for the first, k2 < 0 for the second.
-K1_NEGATIVE = 0xF7C1BD874DA5E709D4713D60C8A70639EB1167B367A9C3787C65C1E582E2E662
-K2_NEGATIVE = 0xF728B4FA42485E3A0A5D2F346BAA9455E3E70682C2094CAC629F6FBED82C07CD
-
 
 @pytest.mark.parametrize("base", ["G", "other", "drawn"])
 @given(k=st.integers(0, 2**256 - 1), k0=st.integers(1, SECP.n - 1))
@@ -359,10 +351,6 @@ K2_NEGATIVE = 0xF728B4FA42485E3A0A5D2F346BAA9455E3E70682C2094CAC629F6FBED82C07CD
 @example(k=SECP.n, k0=SECP.n - 1)
 @example(k=SECP.n + 1, k0=5)
 @example(k=2**256 - 1, k0=0xC0FFEE)
-@example(k=_LAMBDA, k0=7)
-@example(k=SECP.n - _LAMBDA, k0=7)
-@example(k=K1_NEGATIVE, k0=11)
-@example(k=K2_NEGATIVE, k0=11)
 def test_scalar_mult_matches_oracle_on_secp256k1(base, k, k0):
     if base == "drawn":
         point = affine_scalar_mult(SECP, k0, SECP.g)
@@ -372,7 +360,8 @@ def test_scalar_mult_matches_oracle_on_secp256k1(base, k, k0):
 
 
 def test_off_curve_secp256k1_point_matches_the_oracle():
-    # (1, 1) fails is_on_curve, so it keeps double-and-add on the unreduced k.
+    # (1, 1) fails is_on_curve; like every point but G that comes without a
+    # table, it goes by double-and-add on the unreduced k.
     point = (1, 1)
     assert not is_on_curve(SECP, point)
     rng = random.Random(8)
@@ -417,60 +406,6 @@ SECP_OTHER_TABLE = crypto._window_table(SECP, SECP_OTHER_BASE)
 def test_table_multiplication_matches_the_oracle_on_secp256k1(k):
     product = scalar_mult(SECP, k, SECP_OTHER_BASE, SECP_OTHER_TABLE)
     assert product == affine_scalar_mult(SECP, k, SECP_OTHER_BASE)
-
-
-def test_glv_path_runs_only_for_points_on_secp256k1(monkeypatch):
-    calls = []
-    real = crypto._glv_mult
-
-    def counted(curve, k, point):
-        calls.append(point)
-        return real(curve, k, point)
-
-    monkeypatch.setattr(crypto, "_glv_mult", counted)
-    for curve, point in ((SECP, SECP.g), (SECP, (1, 1)), (SECP, None), (TOY, (6, 3))):
-        scalar_mult(curve, 12345, point)
-    assert calls == []
-    scalar_mult(SECP, 12345, SECP_OTHER_BASE)
-    assert calls == [SECP_OTHER_BASE]
-
-
-# ===== the GLV mechanism: scalar split, endomorphism, width-5 NAF =====
-
-
-@given(k=st.integers(0, 2**256 - 1))
-@example(k=0)
-@example(k=_LAMBDA)
-@example(k=SECP.n - 1)
-@example(k=2**256 - 1)
-def test_glv_split_is_short_and_recombines(k):
-    k1, k2 = _glv_split(k)
-    assert (k1 + k2 * _LAMBDA - k) % SECP.n == 0
-    assert abs(k1).bit_length() <= 129 and abs(k2).bit_length() <= 129
-
-
-def test_glv_split_examples_have_negative_halves():
-    assert _glv_split(K1_NEGATIVE)[0] < 0
-    assert _glv_split(K2_NEGATIVE)[1] < 0
-
-
-@pytest.mark.parametrize("point", [SECP.g, SECP_OTHER_BASE])
-def test_endomorphism_is_multiplication_by_lambda(point):
-    x, y = point
-    assert (_BETA * x % SECP.p, y) == affine_scalar_mult(SECP, _LAMBDA, point)
-
-
-@given(k=st.integers(0, 2**130))
-@example(k=0)
-@example(k=15)
-@example(k=16)
-@example(k=2**129 - 1)
-def test_wnaf_digits(k):
-    digits = _wnaf(k)
-    assert sum(d << i for i, d in enumerate(digits)) == k
-    nonzero = [i for i, d in enumerate(digits) if d]
-    assert all(digits[i] % 2 == 1 and abs(digits[i]) < 16 for i in nonzero)
-    assert all(j - i >= 5 for i, j in zip(nonzero, nonzero[1:]))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, SECP.n, 2**256 - 1])

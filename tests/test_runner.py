@@ -451,6 +451,7 @@ def test_a_run_computes_each_keystream_once_and_each_open_reuses_one(
     scenarios_dir, monkeypatch, curve
 ):
     calls = collections.Counter()
+    mults = []  # the arguments of every scalar_mult call
     for module, name in [
         (crypto, "_keystream"), (crypto, "scalar_mult"), (crypto, "keypair_from_private"),
         (crypto, "ecdh_shared"), (gridmon.simulation, "ecdh_shared"),
@@ -459,6 +460,8 @@ def test_a_run_computes_each_keystream_once_and_each_open_reuses_one(
     ]:
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
+            if _name == "scalar_mult":
+                mults.append((args, kwargs))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -473,10 +476,17 @@ def test_a_run_computes_each_keystream_once_and_each_open_reuses_one(
 
     monkeypatch.setattr(crypto.CryptoMemo, "remember", bounded_remember)
     cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), curve=curve)
+
+    def fixed_base(curve, k, point, table=None):  # scalar_mult's signature
+        return point == curve.g or table is not None
+
     runs = []
     for _ in range(2):  # the second run gets no keystream from the first
         calls.clear()
+        mults.clear()
         sim = run_simulation(cfg)
+        # No variable-base multiplication: each is from G's table or a passed one.
+        assert mults and all(fixed_base(*args, **kwargs) for args, kwargs in mults)
         assert len(sim._crypto_memo) == 0  # emptied when the run ends
         runs.append(dict(calls))
     first, second = runs
