@@ -17,11 +17,13 @@ inside and picks one of two paths by its input:
 
 * a point with a fixed-base window table: ``G`` of any curve, whose table is
   built once per curve, or a point whose table the caller passes in (a
-  run's ``CryptoMemo`` builds one for the control-center key);
+  run's ``CryptoMemo`` builds one for the control-center key).  The table
+  holds 16 multiples per signed 5-bit digit of the scalar, and a negative
+  digit adds a negated entry;
 * any other point: left-to-right double-and-add.  A simulation run takes
-  this path only for an open whose seal's ECDH key its bounded memo has
-  dropped: its key pairs and set-up keys come from ``G``, and its seals
-  from the control-center key's table.
+  this path only for an open that finds no seal's ECDH key in its memo, as
+  for an ephemeral point changed in transit: its key pairs and set-up keys
+  come from ``G``, and its seals from the control-center key's table.
 
 RC5 key schedules are memoized per key; ``protocol.seal`` keeps RC5-CTR
 counter blocks disjoint under a key (48-bit sequence, 16-bit block index).
@@ -47,30 +49,10 @@ class CryptoError(ValueError):
     """Raised for malformed keys, points, or sealed payloads."""
 
 
-class CryptoMemo(OrderedDict):
-    """Bounded memo of pure results within one run: RC5 keystreams keyed by
-    (key, counter base, length) and ECDH keys keyed by (curve, P, Q), the two
-    public points in sorted order.  By ECDH symmetry either side finds the
-    key: a seal's ephemeral x recipient entry is the recipient x ephemeral
-    entry its opens look up, so an aggregate's seal and both opens share one
-    scalar multiplication.
-
-    Holds at most ``LIMIT`` entries and drops the oldest first.  Beside them,
-    and outside the bound, it keeps what a run reuses on every call: the
-    window table of each recipient key it seals for (``window_table``), the
-    keyed HMAC states of each key it tags under (``hmac_pads``) and the public
-    point of each private key it opens under (``public_key``).  A run owns one
-    memo and empties it when it ends; callers that pass none compute every
-    result afresh.
-    """
+class _Fifo(OrderedDict):
+    """Holds at most ``LIMIT`` entries and drops the oldest first."""
 
     LIMIT = 1024
-
-    def __init__(self):
-        super().__init__()
-        self.tables: dict = {}
-        self.hmac_states: dict = {}
-        self.publics: dict = {}
 
     def remember(self, key, value):
         self[key] = value
@@ -78,8 +60,36 @@ class CryptoMemo(OrderedDict):
             self.popitem(last=False)
         return value
 
+
+class CryptoMemo(_Fifo):
+    """Bounded memo of pure results within one run: RC5 keystreams keyed by
+    (key, counter base, length) in the memo itself, and ECDH keys in
+    ``ecdh_keys``, keyed by (curve, P, Q), the two public points in sorted
+    order.  By ECDH symmetry either side finds the key: a seal's ephemeral x
+    recipient entry is the recipient x ephemeral entry its opens look up, so
+    an aggregate's seal and both opens share one scalar multiplication.
+
+    Each of the two holds at most ``LIMIT`` entries and drops its oldest
+    first, so the many keystreams a run computes between an aggregate's seal
+    and its opens cannot drop the seal's ECDH key.  Beside them, and outside
+    the bound, it keeps what a run reuses on every call: the window table of
+    each recipient key it seals for (``window_table``), the keyed HMAC states
+    of each key it tags under (``hmac_pads``) and the public point of each
+    private key it opens under (``public_key``).  A run owns one memo and
+    empties it when it ends; callers that pass none compute every result
+    afresh.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.ecdh_keys = _Fifo()
+        self.tables: dict = {}
+        self.hmac_states: dict = {}
+        self.publics: dict = {}
+
     def clear(self):
         super().clear()
+        self.ecdh_keys.clear()
         self.tables.clear()
         self.hmac_states.clear()
         self.publics.clear()
@@ -259,33 +269,36 @@ def _all_to_affine(curve: CurveParams, points) -> list:
     return out
 
 
-_WINDOW_BITS = 4
+_WINDOW_BITS = 5
+_HALF = 2 ** (_WINDOW_BITS - 1)  # the largest digit; a row's last multiple
 
 
 def _window_table(curve: CurveParams, point) -> tuple:
-    """Row i holds affine j * 16**i * P for j in 0..15 (row[0] is None).
+    """Row i holds affine j * 32**i * P for j in 1..16, at index j - 1.
 
-    One row per 4-bit window of a scalar below n, so k*P is one mixed
-    addition per nonzero window and no doubling (fixed-base windowing,
-    Hankerson, Menezes and Vanstone, section 3.3).  P must have prime order
-    n > 15, so no entry is the point at infinity.  The rows' bases 16**i * P
-    come by doubling and each row by mixed additions, all in Jacobian
-    coordinates; the bases share one inversion and the table another.
+    One row per signed 5-bit digit of a scalar below n, so k*P is one mixed
+    addition per nonzero digit and no doubling (fixed-base windowing,
+    Hankerson, Menezes and Vanstone, section 3.3).  A digit d in -15..-1
+    adds the negation (x, p - y) of row entry -d, so a row holds half the
+    multiples an unsigned window needs.  P must have prime order n > 16, so
+    no entry is the point at infinity.  The rows' bases 32**i * P come by
+    doubling and each row by mixed additions, all in Jacobian coordinates;
+    the bases share one inversion and the table another.
     """
-    width = 2**_WINDOW_BITS - 1
     base = (point[0], point[1], 1)
     bases = []
-    for _ in range(-(-curve.n.bit_length() // _WINDOW_BITS)):
+    # n.bit_length() // 5 + 1 digits hold every k < n with its carries.
+    for _ in range(curve.n.bit_length() // _WINDOW_BITS + 1):
         bases.append(base)
         for _ in range(_WINDOW_BITS):
             base = _jacobian_double(curve, base)
     multiples = []
     for b in _all_to_affine(curve, bases):
         multiples.append((b[0], b[1], 1))
-        for _ in range(width - 1):
+        for _ in range(_HALF - 1):
             multiples.append(_jacobian_add_affine(curve, multiples[-1], b))
     flat = _all_to_affine(curve, multiples)
-    return tuple((None, *flat[i : i + width]) for i in range(0, len(flat), width))
+    return tuple(tuple(flat[i : i + _HALF]) for i in range(0, len(flat), _HALF))
 
 
 @functools.cache
@@ -299,9 +312,11 @@ def scalar_mult(curve: CurveParams, k: int, point, table: tuple | None = None):
     P is multiplied from a window table when the caller passes one --
     ``table`` must be P's, as ``CryptoMemo.window_table`` builds it -- and G
     from its own, both with k reduced mod n, the order of G and of a tabled
-    point.  Every other input -- any other curve point, or a point that
-    fails ``is_on_curve`` -- goes by left-to-right double-and-add on the
-    unreduced k.
+    point.  The reduced k is read in signed 5-bit digits, lowest first: a
+    digit d above 16 becomes d - 32 and carries one into the next.  Every
+    other input -- any other curve point, or a point that fails
+    ``is_on_curve`` -- goes by left-to-right double-and-add on the unreduced
+    k.
     """
     if k < 0:
         raise CryptoError("scalar must be non-negative")
@@ -312,8 +327,14 @@ def scalar_mult(curve: CurveParams, k: int, point, table: tuple | None = None):
         k %= curve.n
         mask = 2**_WINDOW_BITS - 1
         for row in table:
-            acc = _jacobian_add_affine(curve, acc, row[k & mask])
+            d = k & mask
             k >>= _WINDOW_BITS
+            if d > _HALF:
+                k += 1
+                x, y = row[mask - d]  # row entry 32 - d, the digit's negation
+                acc = _jacobian_add_affine(curve, acc, (x, curve.p - y))
+            elif d:
+                acc = _jacobian_add_affine(curve, acc, row[d - 1])
     elif point is not None:
         for bit in bin(k)[2:]:
             acc = _jacobian_double(curve, acc)
@@ -368,14 +389,14 @@ def ecdh_shared(
         if public is None:
             public = memo.public_key(curve, private)
         entry = (curve, *sorted((public, peer_public)))
-        key = memo.get(entry)
+        key = memo.ecdh_keys.get(entry)
     if key is None:
         shared = scalar_mult(curve, private, peer_public, table)
         if shared is None:
             raise CryptoError("shared secret is the point at infinity")
         key = derive_key(curve, shared)
         if memo is not None:
-            memo.remember(entry, key)
+            memo.ecdh_keys.remember(entry, key)
     return key
 
 

@@ -151,29 +151,31 @@ class Simulation:
 
     def _setup_keys(self) -> None:
         topo = self.topo
+        n = self.curve.n
+        # The control center's public key is sealed for.  Sinks and gateways
+        # only need their private keys, drawn as keypair_generate draws them.
         self.cc_keypair = keypair_generate(self.curve, self.rng_crypto)
-        sink_keys = {}
+        sink_private = {}
         for sinks in self._sinks.values():
             for rid in sorted(sinks):
-                sink_keys[sinks[rid]] = keypair_generate(self.curve, self.rng_crypto)
+                sink_private[sinks[rid]] = self.rng_crypto.randrange(1, n)
         # A gateway shares one pairwise key with the sink of each kind it has
         # sensors for, bound to the flow's label so small-curve ECDH
-        # collisions stay apart.  Every gateway draws a key pair, so later
+        # collisions stay apart.  Every gateway draws a private key, so later
         # draws from the crypto stream do not depend on which flows are sensed.
         sensed = {(route[-1], kind) for kind, route, _, _ in self.sensors}
         self.flows: dict[tuple[int, PacketKind], Flow] = {}
         for sid in sorted(topo.gateway_of_substation):
             gw = topo.gateway_of_substation[sid]
-            gw_kp = keypair_generate(self.curve, self.rng_crypto)
+            gw_private = self.rng_crypto.randrange(1, n)
             for kind, sinks in self._sinks.items():
                 if (gw, kind) not in sensed:
                     continue
                 sink_id = sinks[self.nodes[gw].region]
-                # Both key pairs are ours, so G's window table serves the key:
+                # G's window table serves the key:
                 # (gw private * sink private mod n) * G = gw private * sink public.
                 shared = ecdh_shared(
-                    self.curve, gw_kp.private * sink_keys[sink_id].private % self.curve.n,
-                    self.curve.g,
+                    self.curve, gw_private * sink_private[sink_id] % n, self.curve.g
                 )
                 label = f"pair:{gw}:{kind.value}:".encode()
                 key = hashlib.sha256(label + shared).digest()[:16]

@@ -13,6 +13,9 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# Many more examples for the EC oracle and table tests, which CI runs once
+# with --hypothesis-profile=deep.
+settings.register_profile("deep", parent=settings.get_profile("suite"), max_examples=2000)
 settings.load_profile("suite")
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -342,14 +342,34 @@ def test_scalar_mult_matches_oracle_on_every_toy_point():
 
 SECP_OTHER_BASE = affine_scalar_mult(SECP, 0xC0FFEE, SECP.g)
 
+# Scalars that meet each case of the signed 5-bit recoding: 16 is the largest
+# digit without a carry and 17 the first with one; 31 is -1 with a carry and
+# 32 a zero digit below a one; then 51 digits of 16 (no carry anywhere) and
+# of 17 (a carry out of every digit), both below n.
+RECODING_EDGES = [
+    16, 17, 31, 32, sum(16 << 5 * i for i in range(51)), sum(17 << 5 * i for i in range(51)),
+]
+assert max(RECODING_EDGES) < SECP.n
+
+
+def at_recoding_edges(**others):
+    """Add an example at each recoding edge, with ``others`` as the test's other arguments."""
+    def add(test):
+        for k in RECODING_EDGES:
+            test = example(k=k, **others)(test)
+        return test
+    return add
+
 
 @pytest.mark.parametrize("base", ["G", "other", "drawn"])
 @given(k=st.integers(0, 2**256 - 1), k0=st.integers(1, SECP.n - 1))
+@at_recoding_edges(k0=7)
 @example(k=0, k0=1)
 @example(k=1, k0=2)
 @example(k=SECP.n - 1, k0=3)
 @example(k=SECP.n, k0=SECP.n - 1)
 @example(k=SECP.n + 1, k0=5)
+@example(k=SECP.n + 17, k0=6)
 @example(k=2**256 - 1, k0=0xC0FFEE)
 def test_scalar_mult_matches_oracle_on_secp256k1(base, k, k0):
     if base == "drawn":
@@ -370,14 +390,14 @@ def test_off_curve_secp256k1_point_matches_the_oracle():
 
 
 def row_by_row_table(curve, point):
-    """Row i holds j * 16**i * P for j in 0..15, each entry one point_add from the last."""
+    """Row i holds j * 32**i * P for j in 1..16, each entry one point_add from the last."""
     rows, base = [], point
-    for _ in range(-(-curve.n.bit_length() // 4)):
-        row = [None]
+    for _ in range(curve.n.bit_length() // 5 + 1):
+        row = [base]
         for _ in range(15):
             row.append(point_add(curve, row[-1], base))
         rows.append(tuple(row))
-        base = point_add(curve, row[-1], base)
+        base = point_add(curve, row[-1], row[-1])  # 32 * base
     return tuple(rows)
 
 
@@ -386,6 +406,14 @@ def test_the_table_builder_matches_a_row_by_row_table(curve):
     assert crypto._g_table(curve) == row_by_row_table(curve, curve.g)
     other = affine_scalar_mult(curve, 7, curve.g)
     assert crypto._window_table(curve, other) == row_by_row_table(curve, other)
+
+
+@pytest.mark.parametrize("curve, rows", [(TOY, 2), (SECP, 52)], ids=["toy17", "secp256k1"])
+def test_a_table_holds_16_points_per_signed_digit(curve, rows):
+    table = crypto._window_table(curve, affine_scalar_mult(curve, 7, curve.g))
+    for t in (table, crypto._g_table(curve)):
+        assert len(t) == rows and {len(row) for row in t} == {16}
+        assert all(entry is not None and is_on_curve(curve, entry) for row in t for entry in row)
 
 
 def test_table_multiplication_matches_the_oracle_on_every_toy_point():
@@ -399,9 +427,9 @@ SECP_OTHER_TABLE = crypto._window_table(SECP, SECP_OTHER_BASE)
 
 
 @given(k=st.integers(0, SECP.n - 1))
+@at_recoding_edges()
 @example(k=1)
 @example(k=15)
-@example(k=16)
 @example(k=SECP.n - 1)
 def test_table_multiplication_matches_the_oracle_on_secp256k1(k):
     product = scalar_mult(SECP, k, SECP_OTHER_BASE, SECP_OTHER_TABLE)
@@ -594,12 +622,20 @@ def test_a_memo_hit_never_serves_another_key_counter_or_length():
 
 def test_the_memo_keeps_its_newest_entries_up_to_its_bound():
     memo = CryptoMemo()
+    shared = ecdh_shared(TOY, 3, TOY.g, memo=memo)
     key = bytes(16)
     for nonce in range(CryptoMemo.LIMIT + 10):
         rc5_ctr(key, nonce, b"x", memo=memo)
         assert len(memo) <= CryptoMemo.LIMIT
     assert len(memo) == CryptoMemo.LIMIT
     assert (key, 9, 1) not in memo and (key, 10, 1) in memo  # the oldest go first
+    # Keystreams never drop an ECDH key; ECDH keys have a bound of their own.
+    [(entry, value)] = memo.ecdh_keys.items()
+    assert value == shared
+    for private in range(1, CryptoMemo.LIMIT + 1):
+        ecdh_shared(SECP, private, SECP.g, memo=memo)
+        assert len(memo.ecdh_keys) <= CryptoMemo.LIMIT
+    assert entry not in memo.ecdh_keys and len(memo) == CryptoMemo.LIMIT
 
 
 def test_rc5_ctr_computes_a_memoized_keystream_once_but_schedules_every_call(monkeypatch):
@@ -634,7 +670,7 @@ def test_ecdh_with_a_memo_equals_ecdh_without_and_still_checks_its_inputs(monkey
             )
     # Keyed by the unordered pair of public points: a*B and b*A share one entry.
     unordered = 18 * 19 // 2
-    assert len(memo) == unordered
+    assert len(memo.ecdh_keys) == unordered and len(memo) == 0
     # 18 key pairs, the memo's 18 own public points, then one multiplication per pair.
     assert len(mults) == 18 + 18 + unordered
     with pytest.raises(CryptoError):
@@ -645,7 +681,7 @@ def test_ecdh_with_a_memo_equals_ecdh_without_and_still_checks_its_inputs(monkey
         ecdh_shared(TOY, TOY.n, pairs[0][1], memo=memo)
     with pytest.raises(CryptoError):
         ecdh_shared(TOY, 3 + TOY.n, pairs[0][1], memo=memo)
-    assert len(memo) == unordered and len(mults) == 18 + 18 + unordered
+    assert len(memo.ecdh_keys) == unordered and len(mults) == 18 + 18 + unordered
 
 
 def sealed_under_a_memo(curve, seed):
@@ -657,7 +693,7 @@ def sealed_under_a_memo(curve, seed):
     sealed = pk_encrypt(curve, kp.public, b"one window's aggregate", rng, 5, memo=memo)
     size = curve.byte_length
     eph = (int.from_bytes(sealed[:size], "big"), int.from_bytes(sealed[size : 2 * size], "big"))
-    assert (curve, *sorted((eph, kp.public))) in memo
+    assert (curve, *sorted((eph, kp.public))) in memo.ecdh_keys
     return kp, sealed, memo
 
 
@@ -785,7 +821,7 @@ def test_each_memo_builds_its_own_table_and_clear_drops_it(monkeypatch):
     assert builds == [recipient, recipient]
     assert first.tables[SECP, recipient] is not second.tables[SECP, recipient]
     first.clear()
-    assert (len(first), first.tables, first.hmac_states) == (0, {}, {})
+    assert (len(first), first.ecdh_keys, first.tables, first.hmac_states) == (0, {}, {}, {})
     assert len(second.tables) == 1 and len(second.hmac_states) == 2
     pk_encrypt(SECP, recipient, b"one window", rng, memo=first)
     assert builds == [recipient] * 3

@@ -414,36 +414,54 @@ def test_one_ecdh_per_sensed_flow(scenarios_dir, monkeypatch):
     assert len(calls) == len(sensed) == 14
 
 
-@pytest.mark.parametrize("scenario, curve", [
-    ("ieee14", "toy17"), ("ieee14", "secp256k1"), ("ieee118", "secp256k1"),
-])
-def test_each_set_up_key_is_the_key_computed_from_scratch(
-    scenarios_dir, monkeypatch, scenario, curve
-):
+SET_UP_CASES = [("ieee14", "toy17"), ("ieee14", "secp256k1"), ("ieee118", "secp256k1")]
+
+
+def set_up_simulation(scenarios_dir, scenario, curve):
+    cfg = dataclasses.replace(load_scenario(str(scenarios_dir / f"{scenario}.ini")), curve=curve)
+    return Simulation(build_run_topology(cfg, cfg.seed), cfg, cfg.seed), cfg.seed
+
+
+@pytest.mark.parametrize("scenario, curve", SET_UP_CASES)
+def test_each_set_up_key_is_the_key_computed_from_scratch(scenarios_dir, scenario, curve):
     """Tamper detection works under any key, so a wrong pairwise key would
     show in no metric and no trace: pin each one to gateway private * sink
-    public, from the key pairs the set-up drew."""
-    drawn = []
-    keypair_generate = gridmon.simulation.keypair_generate
-
-    def recording_keypair_generate(*args):
-        drawn.append(keypair_generate(*args))
-        return drawn[-1]
-
-    monkeypatch.setattr(gridmon.simulation, "keypair_generate", recording_keypair_generate)
-    cfg = dataclasses.replace(load_scenario(str(scenarios_dir / f"{scenario}.ini")), curve=curve)
-    sim = Simulation(build_run_topology(cfg, cfg.seed), cfg, cfg.seed)
-    # Drawn in order: the control center's, each sink's, each gateway's.
-    pairs = iter(drawn[1:])
-    sink_kp = {sinks[rid]: next(pairs)
-               for sinks in sim._sinks.values() for rid in sorted(sinks)}
+    public, from the private keys the crypto stream gives in set-up order."""
+    sim, seed = set_up_simulation(scenarios_dir, scenario, curve)
+    # Replayed in set-up order: the control center's key pair, each sink's
+    # private key, each gateway's; each is one keypair_generate draw.
+    rng = gridmon.simulation.child_rng(seed, "crypto")
+    assert crypto.keypair_generate(sim.curve, rng) == sim.cc_keypair
+    sink_private = {sinks[rid]: crypto.keypair_generate(sim.curve, rng).private
+                    for sinks in sim._sinks.values() for rid in sorted(sinks)}
     gw_of = sim.topo.gateway_of_substation
-    gw_kp = {gw_of[sid]: next(pairs) for sid in sorted(gw_of)}
-    assert next(pairs, None) is None and sim.flows
+    gw_private = {gw_of[sid]: crypto.keypair_generate(sim.curve, rng).private
+                  for sid in sorted(gw_of)}
+    # The set-up drew exactly these: the stream's next draw is the first seal's.
+    assert rng.getstate() == sim.rng_crypto.getstate() and sim.flows
     for (gw, kind), flow in sim.flows.items():
-        shared = crypto.ecdh_shared(sim.curve, gw_kp[gw].private, sink_kp[flow.sink.id].public)
+        sink_public = crypto.keypair_from_private(sim.curve, sink_private[flow.sink.id]).public
+        shared = crypto.ecdh_shared(sim.curve, gw_private[gw], sink_public)
         label = f"pair:{gw}:{kind.value}:".encode()
         assert flow.key == hashlib.sha256(label + shared).digest()[:16]
+
+
+@pytest.mark.parametrize("scenario, curve", SET_UP_CASES)
+def test_the_set_up_multiplies_once_per_flow_and_once_for_the_control_center(
+    scenarios_dir, monkeypatch, scenario, curve
+):
+    bases = []
+    real = crypto.scalar_mult
+
+    def counted(curve, k, point, table=None):  # scalar_mult's signature
+        bases.append((point == curve.g, table))
+        return real(curve, k, point, table)
+
+    monkeypatch.setattr(crypto, "scalar_mult", counted)
+    sim, _ = set_up_simulation(scenarios_dir, scenario, curve)
+    # Every one from G's table: the control center's public point, then one per flow.
+    assert bases == [(True, None)] * (len(sim.flows) + 1)
+    assert len(bases) == {"ieee14": 15, "ieee118": 143}[scenario]
 
 
 @pytest.mark.parametrize("curve", ["secp256k1", "toy17"])
@@ -487,7 +505,8 @@ def test_a_run_computes_each_keystream_once_and_each_open_reuses_one(
         sim = run_simulation(cfg)
         # No variable-base multiplication: each is from G's table or a passed one.
         assert mults and all(fixed_base(*args, **kwargs) for args, kwargs in mults)
-        assert len(sim._crypto_memo) == 0  # emptied when the run ends
+        # Emptied when the run ends.
+        assert len(sim._crypto_memo) == len(sim._crypto_memo.ecdh_keys) == 0
         runs.append(dict(calls))
     first, second = runs
     assert first == second
@@ -506,6 +525,28 @@ def test_a_run_computes_each_keystream_once_and_each_open_reuses_one(
         # 18 ephemeral keys: the seals also meet earlier aggregates' ECDH keys.
         assert saved >= 2 * first["pk_encrypt"] - 1
     assert largest == crypto.CryptoMemo.LIMIT  # reached, never passed
+
+
+def test_keystreams_never_drop_an_aggregates_ecdh_key_before_its_opens(
+    scenarios_dir, monkeypatch
+):
+    """ieee118_sweep.ini computes more than LIMIT keystreams between some
+    aggregates' seals and opens; the opens still find the seal's ECDH key,
+    so no multiplication of the run has a variable base."""
+    variable = []
+    real = crypto.scalar_mult
+
+    def counted(curve, k, point, table=None):  # scalar_mult's signature
+        if point != curve.g and table is None:
+            variable.append(point)
+        return real(curve, k, point, table)
+
+    monkeypatch.setattr(crypto, "scalar_mult", counted)
+    cfg = load_scenario(str(scenarios_dir / "ieee118_sweep.ini"))
+    sim = run_simulation(cfg, 1)
+    assert sim.metrics.scada_delivered > 0
+    assert variable == []
+    assert len(sim._crypto_memo) == len(sim._crypto_memo.ecdh_keys) == 0
 
 
 @pytest.mark.parametrize("p", [1.0, 0.0])
