@@ -51,14 +51,13 @@ class ReadingLedger:
             raise AuditError(f"reading {reading.id} generated twice")
         self.entries[reading.id] = ReadingState(reading)
 
-    def dropped(self, reading_ids, cause: str) -> None:
+    def dropped(self, reading_id: int, cause: str) -> None:
         if cause not in DROP_CAUSES:
             raise AuditError(f"unknown drop cause {cause!r}")
-        for rid in reading_ids:
-            state = self.entries[rid]
-            if state.status in ("in_flight",):
-                state.status = "dropped"
-                state.drop_cause = cause
+        state = self.entries[reading_id]
+        if state.status == "in_flight":
+            state.status = "dropped"
+            state.drop_cause = cause
 
     def resent(self, reading_id: int) -> None:
         state = self.entries[reading_id]
@@ -66,11 +65,10 @@ class ReadingLedger:
         state.drop_cause = None
         state.retransmits += 1
 
-    def at_sink(self, reading_ids) -> None:
-        for rid in reading_ids:
-            state = self.entries[rid]
-            state.status = "at_sink"
-            state.drop_cause = None
+    def at_sink(self, reading_id: int) -> None:
+        state = self.entries[reading_id]
+        state.status = "at_sink"
+        state.drop_cause = None
 
     def aggregated(self, reading_ids, aggregate_id: int) -> None:
         for rid in reading_ids:

@@ -24,7 +24,8 @@ route is one table for a sealed reading's size, each probe target's table is
 shared by its ``k_test`` probes, and a reroute request builds one for the
 data packet's hops reversed.  Sensor, data and reroute packets carry their
 ``SensorReading``.  One event per hop, ``_walk``, lands the previous hop and
-sends the next.
+sends the next.  Every wireless packet, delivered or lost, ends in one call to
+``_end(pkt, idx, cause)``, where ``idx`` is the number of its hops it landed.
 The wired plane walks stored routes of node ids, one ``_wire`` event per hop;
 each sink's two routes to the control-center servers are built at start-up.
 Only the plan's attackers are asked how they forward, from their activation
@@ -101,7 +102,6 @@ class Simulation:
 
         self.ledger = ReadingLedger()
         self.packet_drops = {cause: 0 for cause in DROP_CAUSES}
-        self.tamper_rejections = 0
         self.reroutes = 0
         self._reading_seq = 0
         self._aggregate_seq = 0
@@ -210,14 +210,6 @@ class Simulation:
         """Log one packet event; callers check that tracing is on."""
         self.trace.event(self.queue.now, ev, pkt.seq, src, dst, pkt.kind.value)
 
-    def _drop(self, pkt: Packet, at_src: int, at_dst: int, cause: str) -> None:
-        if self.trace is not None:
-            self._trace("drop", pkt, at_src, at_dst)
-        self.packet_drops[cause] += 1
-        # A lost reroute request's reading is already dropped as rejected.
-        if pkt.reading is not None:
-            self.ledger.dropped([pkt.reading.id], cause)
-
     def _connectivity(self, node: SimNode) -> int:
         cached = self._cn_cache.get(node.id)
         if cached is not None and cached[0] == self.queue.now:
@@ -322,13 +314,13 @@ class Simulation:
         if idx:
             prev, node, _, rx_j, _ = hops[idx - 1]
             if not node.spend(rx_j, now):
-                self._drop(pkt, prev.id, node.id, "dead_battery")
+                self._end(pkt, idx - 1, "dead_battery")
                 return
             if self.trace is not None:
                 self._trace("recv", pkt, prev.id, node.id)
             if idx == len(hops):
                 if node.id != pkt.dst:
-                    self._drop(pkt, prev.id, node.id, "no_route")
+                    self._end(pkt, idx, "no_route")
                 else:
                     self._deliver(node, pkt)
                 return
@@ -339,35 +331,65 @@ class Simulation:
                 if behavior == "blackhole" or (
                     behavior == "grayhole" and self.rng_attack.random() < self.plan.grayholes[node.id]
                 ):
-                    self._drop(pkt, node.id, pkt.dst, behavior)
+                    self._end(pkt, idx, behavior)
                     return
                 if behavior == "tamper" and pkt.ciphertext:
                     pkt.ciphertext = tamper_bytes(pkt.ciphertext, self.rng_attack)
         sender, receiver, tx_j, _, latency_s = hops[idx]
         if not sender.spend(tx_j, now):
-            self._drop(pkt, sender.id, receiver.id, "dead_battery")
+            self._end(pkt, idx, "dead_battery")
             return
         if self.trace is not None:
             self._trace("send", pkt, sender.id, receiver.id)
-        # Trust counts monitoring traffic only; reroute requests are control
-        # plane and earn no credit either way.
+        # Trust counts monitoring traffic only: reroute requests earn no credit.
         if receiver.wireless and pkt.kind is not PacketKind.REROUTE:
             receiver.sent += 1
         self.queue.schedule(now + latency_s, self._walk, pkt, idx + 1)
 
-    def _credit_path(self, pkt: Packet) -> None:
-        for _, receiver, _, _, _ in pkt.hops:
-            if receiver.wireless:
-                receiver.delivered += 1
+    def _end(self, pkt: Packet, idx: int, cause: str | None = None) -> None:
+        """Settle a wireless packet that landed ``idx`` of its hops, delivered if ``cause`` is
+        None: the one place that credits trust, books its reading, and counts and traces a loss."""
+        if cause is None:
+            if pkt.reading is not None:
+                if pkt.kind is PacketKind.REROUTE:
+                    return  # control plane: no credit, and its reading is not at a sink
+                self.ledger.at_sink(pkt.reading.id)
+            for _, receiver, _, _, _ in pkt.hops[:idx]:
+                if receiver.wireless:
+                    receiver.delivered += 1
+            return
+        self.packet_drops[cause] += 1
+        # A lost reroute request's reading is already dropped as rejected.
+        if pkt.reading is not None:
+            self.ledger.dropped(pkt.reading.id, cause)
+        if self.trace is not None:
+            if cause == "rejected" or not pkt.hops:  # the sink's rejection, or no route at dispatch
+                src, dst = pkt.src, pkt.dst
+            elif cause == "dead_battery":  # the ends of the hop it did not land
+                src, dst = pkt.hops[idx][0].id, pkt.hops[idx][1].id
+            elif cause == "no_route":  # a probe stalled at its last receiver
+                src, dst = pkt.hops[idx - 1][0].id, pkt.hops[idx - 1][1].id
+            else:  # the blackhole or grayhole that dropped it
+                src, dst = pkt.hops[idx - 1][1].id, pkt.dst
+            self._trace("reject" if cause == "rejected" else "drop", pkt, src, dst)
 
     # ----- sink side -----
 
     def _deliver(self, node: SimNode, pkt: Packet) -> None:
+        """``pkt`` landed its last hop, at its destination ``node``."""
         if pkt.kind is PacketKind.TEST:
-            self._credit_path(pkt)
+            self._end(pkt, len(pkt.hops))
             return
-        if pkt.kind is PacketKind.REROUTE:
-            self._handle_reroute(node.id, pkt)
+        if pkt.kind is PacketKind.REROUTE:  # the sink rejected this reading
+            self._end(pkt, len(pkt.hops))
+            self.reroutes += 1
+            flow = self.flows[(node.id, pkt.reading.kind)]
+            # Blame its last sender, the first node past the gateway (a tamperer is mid-route).
+            flow.excluded.add(pkt.hops[-1][0].id)
+            flow.hops = None
+            if self.ledger.entries[pkt.reading.id].retransmits < _MAX_RETRANSMITS:
+                self.ledger.resent(pkt.reading.id)
+                self._dispatch(node.id, pkt.reading)
             return
         key = self.flows[(pkt.src, pkt.kind)].key
         try:
@@ -375,38 +397,16 @@ class Simulation:
                 key, self.group_key, pkt.seq, pkt.ciphertext, pkt.tag, memo=self._crypto_memo
             )
         except protocol.TamperRejected:
-            self._reject(node, pkt)
+            self._end(pkt, len(pkt.hops), "rejected")
+            # Ask the gateway to reroute, back along the data packet's hops.
+            back = Packet(self._next_seq(node.id), node.id, pkt.src, PacketKind.REROUTE, reading=pkt.reading)
+            back.hops = self._hop_table((node, *(hop[0] for hop in reversed(pkt.hops))), back.size_bits())
+            if self.trace is not None:
+                self._trace("reroute", back, node.id, pkt.src)
+            self._walk(back, 0)
             return
-        reading = protocol.deserialize_reading(plaintext)
-        self._credit_path(pkt)
-        self.ledger.at_sink([reading.id])
-        self._sink_buffer[node.id].append(reading)
-
-    def _reject(self, sink: SimNode, pkt: Packet) -> None:
-        """Tampered payload: refuse it and ask the sender to reroute."""
-        self.tamper_rejections += 1
-        if self.trace is not None:
-            self._trace("reject", pkt, pkt.src, sink.id)
-        self.ledger.dropped([pkt.reading.id], "rejected")
-        back = Packet(self._next_seq(sink.id), sink.id, pkt.src, PacketKind.REROUTE, reading=pkt.reading)
-        # Back along the data packet's hops, from the sink.
-        back.hops = self._hop_table((sink, *(hop[0] for hop in reversed(pkt.hops))), back.size_bits())
-        if self.trace is not None:
-            self._trace("reroute", back, sink.id, pkt.src)
-        self._walk(back, 0)
-
-    def _handle_reroute(self, gw_id: int, pkt: Packet) -> None:
-        """The sink rejected ``pkt.reading``: route around the culprit and resend."""
-        self.reroutes += 1
-        reading = pkt.reading
-        flow = self.flows[(gw_id, reading.kind)]
-        # The first relay or harvester past the gateway, the request's last
-        # sender, takes the blame; only a node mid-route tampers, so there is one.
-        flow.excluded.add(pkt.hops[-1][0].id)
-        flow.hops = None
-        if self.ledger.entries[reading.id].retransmits < _MAX_RETRANSMITS:
-            self.ledger.resent(reading.id)
-            self._dispatch(gw_id, reading)
+        self._end(pkt, len(pkt.hops))
+        self._sink_buffer[node.id].append(protocol.deserialize_reading(plaintext))
 
     # ----- gateway side -----
 
@@ -416,8 +416,7 @@ class Simulation:
         hops = self._route(gw_id, kind, flow)
         seq = self._next_seq(gw_id)
         if hops is None:
-            doomed = Packet(seq, gw_id, flow.sink.id, kind, reading=reading)
-            self._drop(doomed, gw_id, flow.sink.id, "no_route")
+            self._end(Packet(seq, gw_id, flow.sink.id, kind, reading=reading), 0, "no_route")
             return
         ciphertext, tag = protocol.seal(
             flow.key, self.group_key, seq, protocol.serialize_reading(reading),
@@ -614,12 +613,13 @@ class Simulation:
             pmu_in_flight=pmu["in_flight"],
             pmu_delivery_ratio=ratio(pmu["delivered"], pmu["generated"]),
             pmu_delay_mean_s=mean(pmu["delays"]),
-            packet_drops_total=sum(self.packet_drops.values()),
+            # A rejection is a reading's loss but not a packet drop.
+            packet_drops_total=sum(self.packet_drops.values()) - self.packet_drops["rejected"],
             packet_drops_blackhole=self.packet_drops["blackhole"],
             packet_drops_grayhole=self.packet_drops["grayhole"],
             packet_drops_dead_battery=self.packet_drops["dead_battery"],
             packet_drops_no_route=self.packet_drops["no_route"],
-            tamper_rejections=self.tamper_rejections,
+            tamper_rejections=self.packet_drops["rejected"],
             reroutes=self.reroutes,
             retransmissions=sum(s.retransmits for s in self.ledger.entries.values()),
             energy_consumed_j=energy_total,

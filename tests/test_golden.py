@@ -85,6 +85,11 @@ def test_golden_run(name, scenarios_dir, tmp_path, route_of):
     trace.write(str(path))
     assert sim.metrics.as_row() == want_row
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want_sha
+    # Each loss the row counts is one line of the trace.
+    lines = trace.lines
+    for ev, column in (("drop", "packet_drops_total"), ("reject", "tamper_rejections"),
+                       ("reroute", "reroutes")):
+        assert sum(f" ev={ev} " in line for line in lines) == want_row[column], ev
     if name == "starved":
         assert any(
             len(route_of(flow.hops) or ()) > 2 for (_, kind), flow in sim.flows.items()

@@ -35,7 +35,7 @@ def reading(rid, kind=PacketKind.SCADA, ts=0.0):
 def test_ledger_happy_path_delivery():
     ledger = ReadingLedger()
     ledger.generated(reading(1, ts=2.0))
-    ledger.at_sink([1])
+    ledger.at_sink(1)
     ledger.aggregated([1], aggregate_id=500)
     ledger.delivered([1], now=2.75, backup=False)
     s = ledger.summarize(PacketKind.SCADA)
@@ -55,13 +55,13 @@ def test_ledger_rejects_unknown_drop_cause():
     ledger = ReadingLedger()
     ledger.generated(reading(1))
     with pytest.raises(AuditError):
-        ledger.dropped([1], "gremlins")
+        ledger.dropped(1, "gremlins")
 
 
 def test_ledger_rejects_double_aggregation():
     ledger = ReadingLedger()
     ledger.generated(reading(1))
-    ledger.at_sink([1])
+    ledger.at_sink(1)
     ledger.aggregated([1], aggregate_id=7)
     with pytest.raises(AuditError):
         ledger.aggregated([1], aggregate_id=8)
@@ -70,8 +70,8 @@ def test_ledger_rejects_double_aggregation():
 def test_drop_only_applies_to_in_flight_readings():
     ledger = ReadingLedger()
     ledger.generated(reading(1))
-    ledger.at_sink([1])
-    ledger.dropped([1], "blackhole")  # already safe at the sink: no effect
+    ledger.at_sink(1)
+    ledger.dropped(1, "blackhole")  # already safe at the sink: no effect
     s = ledger.summarize(PacketKind.SCADA)
     assert s["drops"]["blackhole"] == 0 and s["in_flight"] == 1
 
@@ -79,11 +79,11 @@ def test_drop_only_applies_to_in_flight_readings():
 def test_resend_clears_drop_and_counts_retransmit():
     ledger = ReadingLedger()
     ledger.generated(reading(1))
-    ledger.dropped([1], "rejected")
+    ledger.dropped(1, "rejected")
     ledger.resent(1)
     assert ledger.entries[1].status == "in_flight"
     assert ledger.entries[1].retransmits == 1
-    ledger.at_sink([1])
+    ledger.at_sink(1)
     ledger.delivered([1], now=1.0, backup=False)
     ledger.audit_closure()
     assert ledger.summarize(PacketKind.SCADA)["delivered"] == 1
@@ -92,7 +92,7 @@ def test_resend_clears_drop_and_counts_retransmit():
 def test_backup_delivery_does_not_double_count():
     ledger = ReadingLedger()
     ledger.generated(reading(1, ts=1.0))
-    ledger.at_sink([1])
+    ledger.at_sink(1)
     ledger.delivered([1], now=2.0, backup=False)
     ledger.delivered([1], now=3.0, backup=True)
     state = ledger.entries[1]
@@ -104,7 +104,7 @@ def test_backup_delivery_does_not_double_count():
 def test_duplicate_primary_delivery_keeps_first_timestamp():
     ledger = ReadingLedger()
     ledger.generated(reading(1, ts=0.0))
-    ledger.at_sink([1])
+    ledger.at_sink(1)
     ledger.delivered([1], now=1.5, backup=False)
     ledger.delivered([1], now=9.0, backup=False)
     assert ledger.entries[1].delivered_at == 1.5
@@ -123,7 +123,7 @@ def test_audit_closure_flags_in_flight_readings_no_sink_holds():
     ledger = ReadingLedger()
     ledger.generated(reading(1))
     ledger.generated(reading(2, PacketKind.PMU))
-    ledger.at_sink([2])
+    ledger.at_sink(2)
     ledger.audit_closure(held=[1, 2])  # both still buffered at a sink
     with pytest.raises(AuditError):
         ledger.audit_closure(held=[2])  # reading 1 is nowhere
@@ -135,7 +135,7 @@ def test_summarize_separates_kinds():
     ledger = ReadingLedger()
     ledger.generated(reading(1, PacketKind.SCADA))
     ledger.generated(reading(2, PacketKind.PMU))
-    ledger.dropped([2], "grayhole")
+    ledger.dropped(2, "grayhole")
     scada = ledger.summarize(PacketKind.SCADA)
     pmu = ledger.summarize(PacketKind.PMU)
     assert scada["generated"] == 1 and scada["in_flight"] == 1

@@ -32,6 +32,7 @@ from gridmon.runner import (
 from gridmon.scenario import _SECTION_KEYS, ScenarioConfig, ScenarioError, load_scenario
 from gridmon.simulation import Simulation
 from gridmon.topology import Role, distance, export_topology
+from test_golden import GOLDEN
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -698,6 +699,61 @@ def test_hop_tables_hold_the_per_hop_model_costs(scenarios_dir, monkeypatch, rou
         route_of(hops)[::-1] in data_routes
         for _, kind, _, _, hops, *_ in walked if kind is PacketKind.REROUTE
     )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_wireless_packet_ends_exactly_once(scenarios_dir, monkeypatch, name):
+    """Each packet that starts its walk, or that dispatch finds no route for,
+    reaches ``_end`` once, having landed ``0 <= idx <= len(hops)`` hops; a
+    delivered one landed them all.  Packets are told apart by (source, seq)."""
+    overrides, attack, seed, _, _ = GOLDEN[name]
+    cfg = load_scenario(str(scenarios_dir / "ieee14.ini"))
+    cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, **attack), **overrides)
+    started, settled = collections.Counter(), collections.Counter()
+    walk, dispatch, end = Simulation._walk, Simulation._dispatch, Simulation._end
+
+    def starting_walk(self, pkt, idx):
+        if idx == 0:
+            started[pkt.src, pkt.seq] += 1
+        walk(self, pkt, idx)
+
+    def routeless_dispatch(self, gw_id, reading):
+        dispatch(self, gw_id, reading)
+        if self.flows[(gw_id, reading.kind)].hops is None:  # its packet ended in dispatch
+            started[gw_id, self.nodes[gw_id].seq] += 1
+
+    def settling_end(self, pkt, idx, cause=None):
+        assert 0 <= idx <= len(pkt.hops)
+        assert cause is not None or idx == len(pkt.hops)
+        settled[pkt.src, pkt.seq] += 1
+        end(self, pkt, idx, cause)
+
+    monkeypatch.setattr(Simulation, "_walk", starting_walk)
+    monkeypatch.setattr(Simulation, "_dispatch", routeless_dispatch)
+    monkeypatch.setattr(Simulation, "_end", settling_end)
+    run_simulation(cfg, seed)
+    assert started and settled == started
+    assert set(settled.values()) == {1}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_attackers_dormant_past_the_horizon_leave_the_clean_run(scenarios_dir, seed):
+    """A metamorphic relation: attackers that activate after the last
+    reading's time change no row and no trace byte.  Active from 1 s, the same
+    attack changes both at these seeds, so the relation is not vacuous."""
+    cfg = load_scenario(str(scenarios_dir / "ieee14.ini"))
+    horizon = cfg.setup_s + cfg.duration_s + cfg.settle_s
+
+    def outputs(**attack):
+        trace = TraceLog()
+        attacked = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, **attack))
+        sim = run_simulation(attacked, seed, trace)
+        return sim.metrics.as_row(), trace.lines
+
+    clean = outputs()
+    plan = dict(compromised_count=10, tamper_count=20)
+    assert outputs(**plan, activation_time=math.nextafter(horizon, math.inf)) == clean
+    assert outputs(**plan, activation_time=1.0) != clean
 
 
 # Timings a scenario file may set; k_test = 0 is refused.  The window reaches
