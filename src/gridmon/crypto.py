@@ -28,10 +28,12 @@ inside and picks one of two paths by its input:
 RC5 key schedules are memoized per key; ``protocol.seal`` keeps RC5-CTR
 counter blocks disjoint under a key (48-bit sequence, 16-bit block index).
 A ``CryptoMemo`` passed as ``memo=`` holds what one run would otherwise
-recompute: each keystream and ECDH key, each key's HMAC pads, and the window
-table of the key it seals for.  ECDH keys are kept under the unordered pair of
-public points (a*B = b*A), so an aggregate's ECDH key is computed once, by its
-seal, and both of its opens find it.
+recompute, in two bounded FIFOs (keystreams and ECDH keys) and three per-run
+``functools`` caches (the window table of each key it seals for, the public
+point of each private key it opens under, and each key's HMAC pads).  ECDH
+keys are kept under the unordered pair of public points (a*B = b*A), so an
+aggregate's ECDH key is computed once, by its seal, and both of its opens
+find it.
 """
 
 from __future__ import annotations
@@ -62,65 +64,42 @@ class _Fifo(OrderedDict):
 
 
 class CryptoMemo(_Fifo):
-    """Bounded memo of pure results within one run: RC5 keystreams keyed by
-    (key, counter base, length) in the memo itself, and ECDH keys in
-    ``ecdh_keys``, keyed by (curve, P, Q), the two public points in sorted
-    order.  By ECDH symmetry either side finds the key: a seal's ephemeral x
-    recipient entry is the recipient x ephemeral entry its opens look up, so
-    an aggregate's seal and both opens share one scalar multiplication.
+    """What one run would otherwise recompute, in two bounded FIFOs and
+    three per-run caches.
 
-    Each of the two holds at most ``LIMIT`` entries and drops its oldest
-    first, so the many keystreams a run computes between an aggregate's seal
-    and its opens cannot drop the seal's ECDH key.  Beside them, and outside
-    the bound, it keeps what a run reuses on every call: the window table of
-    each recipient key it seals for (``window_table``), the keyed HMAC states
-    of each key it tags under (``hmac_pads``) and the public point of each
-    private key it opens under (``public_key``).  A run owns one memo and
-    empties it when it ends; callers that pass none compute every result
-    afresh.
+    The FIFOs are the memo itself, holding RC5 keystreams keyed by (key,
+    counter base, length), and ``ecdh_keys``, holding ECDH keys keyed by
+    (curve, P, Q), the two public points in sorted order.  By ECDH symmetry
+    either side finds the key: a seal's ephemeral x recipient entry is the
+    recipient x ephemeral entry its opens look up, so an aggregate's seal and
+    both opens share one scalar multiplication.  Each holds at most ``LIMIT``
+    entries and drops its oldest first, so the many keystreams a run computes
+    between an aggregate's seal and its opens cannot drop the seal's ECDH key.
+
+    The caches, unbounded ``functools.cache`` wrappers, hold what a run
+    reuses on every call: ``window_table(curve, point)``, the window table of
+    each recipient key it seals for; ``public_key(curve, private)``, the
+    public point of each private key it opens under; and ``hmac_pads(key)``,
+    the keyed HMAC states of each (bytes) key it tags under.  A run owns one
+    memo and empties all five when it ends; callers that pass none compute
+    every result afresh.
     """
 
     def __init__(self):
         super().__init__()
         self.ecdh_keys = _Fifo()
-        self.tables: dict = {}
-        self.hmac_states: dict = {}
-        self.publics: dict = {}
+        # Lambdas look the builders up at each miss, so a wrapped one is seen.
+        self.window_table = functools.cache(lambda curve, point: _window_table(curve, point))
+        self.public_key = functools.cache(
+            lambda curve, private: scalar_mult(curve, private, curve.g)
+        )
+        self.hmac_pads = functools.cache(_hmac_pads)
 
     def clear(self):
         super().clear()
         self.ecdh_keys.clear()
-        self.tables.clear()
-        self.hmac_states.clear()
-        self.publics.clear()
-
-    def window_table(self, curve: CurveParams, point) -> tuple:
-        """The window table of a curve point of order n, built at its first use."""
-        table = self.tables.get((curve, point))
-        if table is None:
-            table = self.tables[curve, point] = _window_table(curve, point)
-        return table
-
-    def public_key(self, curve: CurveParams, private: int) -> tuple[int, int]:
-        """``private`` * G, computed at the private key's first use."""
-        public = self.publics.get((curve, private))
-        if public is None:
-            public = self.publics[curve, private] = scalar_mult(curve, private, curve.g)
-        return public
-
-    def hmac_pads(self, key) -> tuple:
-        """SHA-256 states that have absorbed ``key``'s inner and outer HMAC
-        pads (RFC 2104, section 4), computed at the key's first use."""
-        if not isinstance(key, bytes):
-            key = bytes(memoryview(key))  # hashable; refuses the int bytes() would zero-fill
-        pads = self.hmac_states.get(key)
-        if pads is None:
-            # SHA-256 reads 64-byte blocks: a longer key is hashed, a shorter one zero-filled.
-            block = (key if len(key) <= 64 else hashlib.sha256(key).digest()).ljust(64, b"\0")
-            pads = self.hmac_states[key] = tuple(
-                hashlib.sha256(bytes(b ^ pad for b in block)) for pad in (0x36, 0x5C)
-            )
-        return pads
+        for cache in (self.window_table, self.public_key, self.hmac_pads):
+            cache.cache_clear()
 
 
 # ===== elliptic curve arithmetic =====
@@ -241,16 +220,6 @@ def _jacobian_add_affine(curve: CurveParams, pt, q):
     return (x3, (r * (v - x3) - y1 * hhh) % p, z1 * h % p)
 
 
-def _to_affine(curve: CurveParams, pt):
-    if pt is None:
-        return None
-    x, y, z = pt
-    p = curve.p
-    zinv = pow(z, -1, p)
-    zz = zinv * zinv % p
-    return (x * zz % p, y * zz * zinv % p)
-
-
 def _all_to_affine(curve: CurveParams, points) -> list:
     """Affine forms of finite Jacobian points, sharing one inversion
     (Montgomery's trick)."""
@@ -340,7 +309,7 @@ def scalar_mult(curve: CurveParams, k: int, point, table: tuple | None = None):
             acc = _jacobian_double(curve, acc)
             if bit == "1":
                 acc = _jacobian_add_affine(curve, acc, point)
-    return _to_affine(curve, acc)
+    return None if acc is None else _all_to_affine(curve, [acc])[0]
 
 
 @dataclass(frozen=True)
@@ -493,21 +462,34 @@ def hmac_tag(key: bytes, message: bytes) -> bytes:
     return _hmac.new(key, message, hashlib.sha256).digest()
 
 
+_XOR_36 = bytes(b ^ 0x36 for b in range(256))
+_XOR_5C = bytes(b ^ 0x5C for b in range(256))
+
+
+def _hmac_pads(key: bytes) -> tuple:
+    """SHA-256 states that have absorbed ``key``'s inner and outer HMAC pads
+    (RFC 2104, section 4)."""
+    # SHA-256 reads 64-byte blocks: a longer key is hashed, a shorter one zero-filled.
+    block = (key if len(key) <= 64 else hashlib.sha256(key).digest()).ljust(64, b"\0")
+    return hashlib.sha256(block.translate(_XOR_36)), hashlib.sha256(block.translate(_XOR_5C))
+
+
 def nested_hmac(
     group_key: bytes, pairwise_key: bytes, message: bytes, *, memo: CryptoMemo | None = None
 ) -> bytes:
     """Two-layer tag: inner HMAC under the pairwise key, outer under the group key.
 
     A forger must know both keys, so a node holding only the group key still
-    cannot forge traffic for another pair.  With a ``memo``, each layer
-    copies the hash states the memo keyed under its key once, instead of
-    keying ``hmac_tag`` afresh.
+    cannot forge traffic for another pair.  Each layer copies the keyed hash
+    states of its key: the ``memo``'s, keyed once per run, or else states
+    keyed for this call.
     """
-    if memo is None:
-        return hmac_tag(group_key, hmac_tag(pairwise_key, message))
+    pads = _hmac_pads if memo is None else memo.hmac_pads
     tag = message
     for key in (pairwise_key, group_key):
-        inner, outer = memo.hmac_pads(key)
+        if not isinstance(key, bytes):
+            key = bytes(memoryview(key))  # hashable; refuses the int bytes() would zero-fill
+        inner, outer = pads(key)
         inner = inner.copy()
         inner.update(tag)
         outer = outer.copy()

@@ -57,6 +57,9 @@ from .scenario import ScenarioConfig, ScenarioError
 from .topology import Role, Topology, distance
 
 _MAX_GREEDY_HOPS = 64
+# Bound once: _walk, _end and _deliver read them on every event, and a global
+# read costs a tenth of an enum member's lookup.
+_REROUTE, _TEST = PacketKind.REROUTE, PacketKind.TEST
 _MAX_RETRANSMITS = 5
 
 
@@ -342,7 +345,7 @@ class Simulation:
         if self.trace is not None:
             self._trace("send", pkt, sender.id, receiver.id)
         # Trust counts monitoring traffic only: reroute requests earn no credit.
-        if receiver.wireless and pkt.kind is not PacketKind.REROUTE:
+        if receiver.wireless and pkt.kind is not _REROUTE:
             receiver.sent += 1
         self.queue.schedule(now + latency_s, self._walk, pkt, idx + 1)
 
@@ -351,7 +354,7 @@ class Simulation:
         None: the one place that credits trust, books its reading, and counts and traces a loss."""
         if cause is None:
             if pkt.reading is not None:
-                if pkt.kind is PacketKind.REROUTE:
+                if pkt.kind is _REROUTE:
                     return  # control plane: no credit, and its reading is not at a sink
                 self.ledger.at_sink(pkt.reading.id)
             for _, receiver, _, _, _ in pkt.hops[:idx]:
@@ -377,10 +380,10 @@ class Simulation:
 
     def _deliver(self, node: SimNode, pkt: Packet) -> None:
         """``pkt`` landed its last hop, at its destination ``node``."""
-        if pkt.kind is PacketKind.TEST:
+        if pkt.kind is _TEST:
             self._end(pkt, len(pkt.hops))
             return
-        if pkt.kind is PacketKind.REROUTE:  # the sink rejected this reading
+        if pkt.kind is _REROUTE:  # the sink rejected this reading
             self._end(pkt, len(pkt.hops))
             self.reroutes += 1
             flow = self.flows[(node.id, pkt.reading.kind)]

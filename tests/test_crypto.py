@@ -204,9 +204,19 @@ def test_hmac_known_answers(key, msg, digest_hex):
     assert hmac_tag(key, msg).hex() == digest_hex
 
 
-def test_nested_hmac_composition():
-    group, pairwise, msg = b"g" * 16, b"p" * 16, b"payload"
-    assert nested_hmac(group, pairwise, msg) == hmac_tag(group, hmac_tag(pairwise, msg))
+@given(
+    group=st.binary(max_size=100), pairwise=st.binary(max_size=100), message=st.binary(max_size=80),
+    key_type=st.sampled_from([bytes, bytearray]), with_memo=st.booleans(),
+)
+# 64 bytes is the longest key that is zero-filled to SHA-256's block, not hashed.
+@example(
+    group=bytes(range(64)), pairwise=bytes(range(64, 128)), message=b"a reading",
+    key_type=bytes, with_memo=False,
+)
+def test_nested_hmac_matches_the_stdlib_oracle(group, pairwise, message, key_type, with_memo):
+    memo = CryptoMemo() if with_memo else None
+    tag = nested_hmac(key_type(group), key_type(pairwise), message, memo=memo)
+    assert tag == hmac_tag(group, hmac_tag(pairwise, message))
 
 
 @given(
@@ -235,7 +245,8 @@ def test_a_memo_never_serves_one_keys_hmac_state_for_another():
             for pairwise in keys:
                 tag = nested_hmac(group, pairwise, b"a reading", memo=memo)
                 assert tag == hmac_tag(group, hmac_tag(pairwise, b"a reading"))
-    assert list(memo.hmac_states) == keys
+    info = memo.hmac_pads.cache_info()
+    assert (info.misses, info.currsize) == (len(keys), len(keys))  # one build per key
 
 
 def test_tags_equal_is_order_insensitive_comparison():
@@ -793,7 +804,17 @@ def test_pk_encrypt_with_a_memo_seals_the_same_bytes_as_without(curve):
         rng.setstate(state)
         assert pk_encrypt(curve, recipient.public, plaintext, rng, seal_id) == sealed
         assert pk_decrypt(curve, recipient.private, sealed) == plaintext
-    assert list(memo.tables) == [(curve, recipient.public)]
+    info = memo.window_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (5, 1, 1)
+    memo.window_table(curve, recipient.public)
+    assert memo.window_table.cache_info().misses == 1  # the one table is the recipient's
+
+
+def cache_sizes(memo):
+    """Entries in a memo's window-table, public-key and HMAC-pad caches."""
+    return tuple(
+        cache.cache_info().currsize for cache in (memo.window_table, memo.public_key, memo.hmac_pads)
+    )
 
 
 def counted_table_builds(monkeypatch):
@@ -819,10 +840,10 @@ def test_each_memo_builds_its_own_table_and_clear_drops_it(monkeypatch):
         pk_encrypt(SECP, recipient, b"one window", rng, memo=memo)
         nested_hmac(KEY16, bytes(16), b"a reading", memo=memo)
     assert builds == [recipient, recipient]
-    assert first.tables[SECP, recipient] is not second.tables[SECP, recipient]
+    assert first.window_table(SECP, recipient) is not second.window_table(SECP, recipient)
     first.clear()
-    assert (len(first), first.ecdh_keys, first.tables, first.hmac_states) == (0, {}, {}, {})
-    assert len(second.tables) == 1 and len(second.hmac_states) == 2
+    assert (len(first), first.ecdh_keys, cache_sizes(first)) == (0, {}, (0, 0, 0))
+    assert cache_sizes(second) == (1, 0, 2)
     pk_encrypt(SECP, recipient, b"one window", rng, memo=first)
     assert builds == [recipient] * 3
 
@@ -835,7 +856,7 @@ def test_a_run_leaves_no_table_but_g_s_at_module_level(monkeypatch, scenarios_di
     sim = run_simulation(cfg)
     assert sim.metrics.scada_delivered > 0
     assert builds == [sim.cc_keypair.public]  # built at the run's first seal
-    assert sim._crypto_memo.tables == {} and sim._crypto_memo.hmac_states == {}
+    assert cache_sizes(sim._crypto_memo) == (0, 0, 0)
     assert crypto._g_table.cache_info().currsize <= len(CURVES)
     # Nothing kept the run's table: a new memo builds it again.
     pk_encrypt(SECP, sim.cc_keypair.public, b"after the run", random.Random(2), memo=CryptoMemo())

@@ -553,7 +553,8 @@ def test_keystreams_never_drop_an_aggregates_ecdh_key_before_its_opens(
 @pytest.mark.parametrize("p", [1.0, 0.0])
 def test_grayhole_head_drops_what_it_forwards(scenarios_dir, p, route_of):
     cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), duration_s=4.0)
-    clean = run_simulation(cfg)
+    clean_trace = TraceLog()
+    clean = run_simulation(cfg, trace=clean_trace)
     head = next(
         route_of(flow.hops)[1] for (_, kind), flow in clean.flows.items()
         if kind is PacketKind.SCADA and flow.hops is not None
@@ -566,6 +567,7 @@ def test_grayhole_head_drops_what_it_forwards(scenarios_dir, p, route_of):
     sim = run_simulation(attacked, trace=trace)
     if p == 0.0:
         assert sim.metrics.as_row() == clean.metrics.as_row()
+        assert trace.lines == clean_trace.lines
         return
     active = [l for l in trace.lines if float(l.split()[0][2:]) >= cfg.setup_s]
     received = [l for l in active if " ev=recv " in l and f" dst={head} " in l]
@@ -754,6 +756,36 @@ def test_attackers_dormant_past_the_horizon_leave_the_clean_run(scenarios_dir, s
     plan = dict(compromised_count=10, tamper_count=20)
     assert outputs(**plan, activation_time=math.nextafter(horizon, math.inf)) == clean
     assert outputs(**plan, activation_time=1.0) != clean
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_an_attacker_off_every_path_changes_nothing(scenarios_dir, monkeypatch, seed):
+    """A metamorphic relation: a blackhole active from the start, on a relay
+    that no hop table walked in the clean run names as sender or receiver,
+    changes no row and no trace byte."""
+    cfg = dataclasses.replace(load_scenario(str(scenarios_dir / "ieee14.ini")), range_m=12000.0)
+    named = set()
+    walk = Simulation._walk
+
+    def naming_walk(self, pkt, idx):
+        if idx == 0:  # every walk starts at hop 0
+            named.update(node.id for hop in pkt.hops for node in hop[:2])
+        walk(self, pkt, idx)
+
+    monkeypatch.setattr(Simulation, "_walk", naming_walk)
+    trace = TraceLog()
+    clean = run_simulation(cfg, seed, trace)
+    monkeypatch.undo()
+    off_path = [n.id for n in clean.nodes.values() if n.role is Role.RELAY and n.id not in named]
+    assert off_path
+    attacked = dataclasses.replace(
+        cfg, attack=AttackConfig(blackhole_nodes=frozenset({off_path[0]}), activation_time=0.0)
+    )
+    attacked_trace = TraceLog()
+    sim = run_simulation(attacked, seed, attacked_trace)
+    assert sim.plan.blackholes == {off_path[0]}
+    assert sim.metrics.as_row() == clean.metrics.as_row()
+    assert attacked_trace.lines == trace.lines
 
 
 # Timings a scenario file may set; k_test = 0 is refused.  The window reaches
