@@ -204,6 +204,11 @@ def test_hmac_known_answers(key, msg, digest_hex):
     assert hmac_tag(key, msg).hex() == digest_hex
 
 
+def test_nested_hmac_composition():
+    group, pairwise, msg = b"g" * 16, b"p" * 16, b"payload"
+    assert nested_hmac(group, pairwise, msg) == hmac_tag(group, hmac_tag(pairwise, msg))
+
+
 @given(
     group=st.binary(max_size=100), pairwise=st.binary(max_size=100), message=st.binary(max_size=80),
     key_type=st.sampled_from([bytes, bytearray]), with_memo=st.booleans(),

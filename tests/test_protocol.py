@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import hmac as stdlib_hmac
 import itertools
 
 import pytest
@@ -173,6 +175,13 @@ def test_tag_tampering_and_wrong_keys_are_rejected():
         open_sealed(KEY_A, KEY_A, 5, ct, tag)  # wrong group key
     with pytest.raises(TamperRejected):
         open_sealed(KEY_A, KEY_B, 5, ct, tag[:16])  # truncated tag
+
+
+def test_nested_hmac_matches_composed_oracle():
+    msg = b"nested authentication"
+    inner = stdlib_hmac.new(KEY_A, msg, hashlib.sha256).digest()
+    outer = stdlib_hmac.new(KEY_B, inner, hashlib.sha256).digest()
+    assert nested_hmac(KEY_B, KEY_A, msg) == outer
 
 
 def test_nested_hmac_requires_both_keys():
