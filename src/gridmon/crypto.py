@@ -25,6 +25,12 @@ inside and picks one of two paths by its input:
   for an ephemeral point changed in transit: its key pairs and set-up keys
   come from ``G``, and its seals from the control-center key's table.
 
+Beside them, ``fixed_base_batch`` computes many multiples of ``G`` in one
+pass over G's table: row by row, every product moves forward in affine
+coordinates, and a row's additions share one inversion (Montgomery's
+trick).  A run's set-up takes all its pairwise keys from one such pass; a
+single product stays on the Jacobian path, which pays one inversion in all.
+
 RC5 key schedules are memoized per key; ``protocol.seal`` keeps RC5-CTR
 counter blocks disjoint under a key (48-bit sequence, 16-bit block index).
 A ``CryptoMemo`` passed as ``memo=`` holds what one run would otherwise
@@ -238,6 +244,30 @@ def _all_to_affine(curve: CurveParams, points) -> list:
     return out
 
 
+def _add_pairs(curve: CurveParams, pairs) -> list:
+    """P + Q for each pair of finite affine points, the chords sharing one
+    inversion (Montgomery's trick, Hankerson, Menezes and Vanstone, section
+    2.2.5).  A pair with equal x coordinates, a doubling or a point and its
+    negation, goes by ``point_add``."""
+    p = curve.p
+    prefix = [1]  # prefix[j] is the product of the first j nonzero x differences
+    for (x1, _), (x2, _) in pairs:
+        prefix.append(prefix[-1] * ((x2 - x1) or 1) % p)
+    inv = pow(prefix[-1], -1, p)  # 1 / (all the differences)
+    out = [None] * len(pairs)
+    for j in range(len(pairs) - 1, -1, -1):
+        (x1, y1), (x2, y2) = pairs[j]
+        dx = x2 - x1
+        if not dx:
+            out[j] = point_add(curve, *pairs[j])
+            continue
+        m = (y2 - y1) * inv * prefix[j] % p  # the chord's slope
+        inv = inv * dx % p
+        x3 = (m * m - x1 - x2) % p
+        out[j] = (x3, (m * (x1 - x3) - y1) % p)
+    return out
+
+
 _WINDOW_BITS = 5
 _HALF = 2 ** (_WINDOW_BITS - 1)  # the largest digit; a row's last multiple
 
@@ -250,24 +280,26 @@ def _window_table(curve: CurveParams, point) -> tuple:
     Hankerson, Menezes and Vanstone, section 3.3).  A digit d in -15..-1
     adds the negation (x, p - y) of row entry -d, so a row holds half the
     multiples an unsigned window needs.  P must have prime order n > 16, so
-    no entry is the point at infinity.  The rows' bases 32**i * P come by
-    doubling and each row by mixed additions, all in Jacobian coordinates;
-    the bases share one inversion and the table another.
+    no entry is the point at infinity.  Each row's base 32**i * P and its
+    double come by Jacobian doubling and share one inversion; then
+    multiples 3..16 come in 14 steps, each adding every row's base to its
+    last entry in one ``_add_pairs`` call.
     """
+    chain = []  # each row's base and its double
     base = (point[0], point[1], 1)
-    bases = []
     # n.bit_length() // 5 + 1 digits hold every k < n with its carries.
     for _ in range(curve.n.bit_length() // _WINDOW_BITS + 1):
-        bases.append(base)
-        for _ in range(_WINDOW_BITS):
+        double = _jacobian_double(curve, base)
+        chain += (base, double)
+        base = double
+        for _ in range(_WINDOW_BITS - 1):
             base = _jacobian_double(curve, base)
-    multiples = []
-    for b in _all_to_affine(curve, bases):
-        multiples.append((b[0], b[1], 1))
-        for _ in range(_HALF - 1):
-            multiples.append(_jacobian_add_affine(curve, multiples[-1], b))
-    flat = _all_to_affine(curve, multiples)
-    return tuple(tuple(flat[i : i + _HALF]) for i in range(0, len(flat), _HALF))
+    flat = _all_to_affine(curve, chain)
+    rows = [flat[i : i + 2] for i in range(0, len(flat), 2)]
+    for _ in range(_HALF - 2):
+        for row, entry in zip(rows, _add_pairs(curve, [(row[-1], row[0]) for row in rows])):
+            row.append(entry)
+    return tuple(map(tuple, rows))
 
 
 @functools.cache
@@ -281,8 +313,8 @@ def scalar_mult(curve: CurveParams, k: int, point, table: tuple | None = None):
     P is multiplied from a window table when the caller passes one --
     ``table`` must be P's, as ``CryptoMemo.window_table`` builds it -- and G
     from its own, both with k reduced mod n, the order of G and of a tabled
-    point.  The reduced k is read in signed 5-bit digits, lowest first: a
-    digit d above 16 becomes d - 32 and carries one into the next.  Every
+    point.  The reduced k is read in signed 5-bit digits, lowest first
+    (``_digit_entries``), one mixed addition per nonzero digit.  Every
     other input -- any other curve point, or a point that fails
     ``is_on_curve`` -- goes by left-to-right double-and-add on the unreduced
     k.
@@ -293,23 +325,58 @@ def scalar_mult(curve: CurveParams, k: int, point, table: tuple | None = None):
     if table is None and point == curve.g:
         table = _g_table(curve)
     if table is not None:
-        k %= curve.n
-        mask = 2**_WINDOW_BITS - 1
-        for row in table:
-            d = k & mask
-            k >>= _WINDOW_BITS
-            if d > _HALF:
-                k += 1
-                x, y = row[mask - d]  # row entry 32 - d, the digit's negation
-                acc = _jacobian_add_affine(curve, acc, (x, curve.p - y))
-            elif d:
-                acc = _jacobian_add_affine(curve, acc, row[d - 1])
+        for entry in _digit_entries(curve, table, k % curve.n):
+            acc = _jacobian_add_affine(curve, acc, entry)
     elif point is not None:
         for bit in bin(k)[2:]:
             acc = _jacobian_double(curve, acc)
             if bit == "1":
                 acc = _jacobian_add_affine(curve, acc, point)
     return None if acc is None else _all_to_affine(curve, [acc])[0]
+
+
+def _digit_entries(curve: CurveParams, table: tuple, k: int):
+    """Per row of ``table``, lowest first, the affine point that k's signed
+    5-bit digit there adds, or None for a zero digit.  A digit d above 16
+    becomes d - 32 and carries one into the next; k must be small enough
+    for the table's rows to hold all its digits."""
+    mask = 2**_WINDOW_BITS - 1
+    for row in table:
+        d = k & mask
+        k >>= _WINDOW_BITS
+        if d > _HALF:
+            k += 1
+            x, y = row[mask - d]  # row entry 32 - d, the digit's negation
+            yield (x, curve.p - y)
+        else:
+            yield row[d - 1] if d else None
+
+
+def fixed_base_batch(curve: CurveParams, scalars) -> list:
+    """[k*G for k in scalars] in one pass over G's window table.
+
+    The scalars' signed digits are read row by row, and every product that
+    row adds to moves forward in affine coordinates under one shared
+    inversion (``_add_pairs``), so a batch of m products costs one
+    inversion per row rather than m.  Each k is read as given, not reduced
+    mod n, as the set-up's scalars already lie below n: it must lie in
+    [0, 16 * 32**(rows - 1)), which holds every k < 3n on the shipped
+    curves.  A batch of one is slower than ``scalar_mult``.
+    """
+    table = _g_table(curve)
+    limit = _HALF << _WINDOW_BITS * (len(table) - 1)
+    for k in scalars:
+        if not 0 <= k < limit:
+            raise CryptoError(f"scalar {k} outside [0, {limit}) for a batch on {curve.name}")
+    acc = [None] * len(scalars)
+    for entries in zip(*(_digit_entries(curve, table, k) for k in scalars)):
+        # A product still at infinity takes its entry as it is; a finite one adds it.
+        moved = [j for j, entry in enumerate(entries) if entry and acc[j]]
+        sums = _add_pairs(curve, [(acc[j], entries[j]) for j in moved])
+        acc = [point or entry for point, entry in zip(acc, entries)]
+        for j, total in zip(moved, sums):
+            acc[j] = total
+    return acc
 
 
 @dataclass(frozen=True)

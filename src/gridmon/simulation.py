@@ -41,7 +41,10 @@ from dataclasses import dataclass, field
 
 from . import protocol
 from .attacks import AttackError, apply_attack, tamper_bytes
-from .crypto import CryptoMemo, ecdh_shared, keypair_generate, pk_decrypt, pk_encrypt
+from .crypto import (
+    CryptoError, CryptoMemo, derive_key, fixed_base_batch, keypair_generate, pk_decrypt, pk_encrypt,
+)
+from .crypto import ecdh_shared  # not called here; kept for callers that wrap this module's binding
 from .engine import EventQueue, NeighborIndex, SimNode, build_sim_nodes
 from .metrics import (
     DROP_CAUSES,
@@ -167,22 +170,24 @@ class Simulation:
         # collisions stay apart.  Every gateway draws a private key, so later
         # draws from the crypto stream do not depend on which flows are sensed.
         sensed = {(route[-1], kind) for kind, route, _, _ in self.sensors}
-        self.flows: dict[tuple[int, PacketKind], Flow] = {}
+        pending = []  # (gateway, kind, sink, gw private * sink private mod n) per sensed flow
         for sid in sorted(topo.gateway_of_substation):
             gw = topo.gateway_of_substation[sid]
             gw_private = self.rng_crypto.randrange(1, n)
             for kind, sinks in self._sinks.items():
-                if (gw, kind) not in sensed:
-                    continue
-                sink_id = sinks[self.nodes[gw].region]
-                # G's window table serves the key:
-                # (gw private * sink private mod n) * G = gw private * sink public.
-                shared = ecdh_shared(
-                    self.curve, gw_private * sink_private[sink_id] % n, self.curve.g
-                )
-                label = f"pair:{gw}:{kind.value}:".encode()
-                key = hashlib.sha256(label + shared).digest()[:16]
-                self.flows[(gw, kind)] = Flow(key, self.nodes[sink_id])
+                if (gw, kind) in sensed:
+                    sink_id = sinks[self.nodes[gw].region]
+                    pending.append((gw, kind, sink_id, gw_private * sink_private[sink_id] % n))
+        # One batched pass over G's window table serves every key:
+        # (gw private * sink private mod n) * G = gw private * sink public.
+        shared = fixed_base_batch(self.curve, [k for *_, k in pending])
+        self.flows: dict[tuple[int, PacketKind], Flow] = {}
+        for (gw, kind, sink_id, k), point in zip(pending, shared):
+            if point is None:  # k is below n, so only k = 0 lands here
+                raise CryptoError(f"pairwise scalar {k} gives the point at infinity")
+            label = f"pair:{gw}:{kind.value}:".encode()
+            key = hashlib.sha256(label + derive_key(self.curve, point)).digest()[:16]
+            self.flows[(gw, kind)] = Flow(key, self.nodes[sink_id])
 
     def _setup_sensors(self) -> None:
         """Number the wired sensing plane after the deployed nodes: RTUs,

@@ -218,24 +218,22 @@ def test_nested_hmac_composition():
     group=bytes(range(64)), pairwise=bytes(range(64, 128)), message=b"a reading",
     key_type=bytes, with_memo=False,
 )
+@example(group=bytes(64), pairwise=bytes(65), message=b"", key_type=bytes, with_memo=True)
+@example(
+    group=KEY16, pairwise=KEY16, message=b"one key for both layers", key_type=bytearray,
+    with_memo=True,
+)
 def test_nested_hmac_matches_the_stdlib_oracle(group, pairwise, message, key_type, with_memo):
     memo = CryptoMemo() if with_memo else None
-    tag = nested_hmac(key_type(group), key_type(pairwise), message, memo=memo)
-    assert tag == hmac_tag(group, hmac_tag(pairwise, message))
-
-
-@given(
-    group=st.binary(max_size=100), pairwise=st.binary(max_size=100), message=st.binary(max_size=80)
-)
-@example(group=bytes(64), pairwise=bytes(65), message=b"")  # either side of SHA-256's block size
-@example(group=KEY16, pairwise=KEY16, message=b"one key for both layers")
-def test_nested_hmac_with_a_memo_equals_nested_hmac_without(group, pairwise, message):
-    memo = CryptoMemo()
-    expected = nested_hmac(group, pairwise, message)
-    assert nested_hmac(group, pairwise, message, memo=memo) == expected
-    # The memo's keyed states are copied, never consumed by a tag.
-    assert nested_hmac(group, pairwise, message, memo=memo) == expected
-    assert nested_hmac(bytearray(group), pairwise, message, memo=memo) == expected
+    expected = hmac_tag(group, hmac_tag(pairwise, message))
+    assert nested_hmac(key_type(group), key_type(pairwise), message, memo=memo) == expected
+    if memo is not None:
+        # The memo's keyed states are copied, never consumed by a tag, and a
+        # key of the other type finds the entry this one's tag built.
+        built = memo.hmac_pads.cache_info().misses
+        other = bytes if key_type is bytearray else bytearray
+        assert nested_hmac(other(group), other(pairwise), message, memo=memo) == expected
+        assert memo.hmac_pads.cache_info().misses == built
 
 
 def test_a_memo_never_serves_one_keys_hmac_state_for_another():
@@ -450,6 +448,29 @@ SECP_OTHER_TABLE = crypto._window_table(SECP, SECP_OTHER_BASE)
 def test_table_multiplication_matches_the_oracle_on_secp256k1(k):
     product = scalar_mult(SECP, k, SECP_OTHER_BASE, SECP_OTHER_TABLE)
     assert product == affine_scalar_mult(SECP, k, SECP_OTHER_BASE)
+
+
+@given(
+    toy=st.lists(st.integers(0, 3 * TOY.n - 1), max_size=12),
+    secp=st.lists(st.integers(0, 3 * SECP.n - 1), max_size=8),
+)
+@example(toy=list(range(3 * TOY.n)), secp=[0, 1, SECP.n - 1, SECP.n, 2 * SECP.n + 3, 7, 7])
+@example(toy=[], secp=[])
+def test_fixed_base_batch_matches_the_scalar_mult_oracle(toy, secp):
+    # Each toy scalar twice and beside its negation n - k: in a 19-point
+    # group a product often meets a table entry of equal x, a doubling or
+    # a negation, which the shared inversion cannot serve.
+    toy = toy + toy + [TOY.n - k % TOY.n for k in toy]
+    for curve, ks in ((TOY, toy), (SECP, secp)):
+        assert crypto.fixed_base_batch(curve, ks) == [scalar_mult(curve, k, curve.g) for k in ks]
+
+
+def test_fixed_base_batch_refuses_a_scalar_its_table_cannot_hold():
+    # toy17's table has two rows of signed 5-bit digits: 16 * 32 is too large.
+    assert crypto.fixed_base_batch(TOY, [16 * 32 - 1]) == [scalar_mult(TOY, 16 * 32 - 1, TOY.g)]
+    for k in (-1, 16 * 32):
+        with pytest.raises(CryptoError):
+            crypto.fixed_base_batch(TOY, [3, k])
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, SECP.n, 2**256 - 1])

@@ -400,19 +400,28 @@ def test_each_sink_routes_to_each_server_over_the_shorter_ring_arc(scenarios_dir
 
 
 def test_one_ecdh_per_sensed_flow(scenarios_dir, monkeypatch):
-    calls = []
-    ecdh = gridmon.simulation.ecdh_shared
+    """Every sensed flow's key agreement is one scalar of the set-up's one
+    batched pass; none goes through ``ecdh_shared``."""
+    batches, ecdh_calls = [], []
+    batch, ecdh = gridmon.simulation.fixed_base_batch, gridmon.simulation.ecdh_shared
 
-    def counting_ecdh(*args):
-        calls.append(args)
-        return ecdh(*args)
+    def counting_batch(curve, scalars):
+        batches.append(list(scalars))
+        return batch(curve, scalars)
 
+    def counting_ecdh(*args, **kwargs):
+        ecdh_calls.append(args)
+        return ecdh(*args, **kwargs)
+
+    monkeypatch.setattr(gridmon.simulation, "fixed_base_batch", counting_batch)
     monkeypatch.setattr(gridmon.simulation, "ecdh_shared", counting_ecdh)
     cfg = load_scenario(str(scenarios_dir / "ieee14.ini"))
     sim = Simulation(build_run_topology(cfg, cfg.seed), cfg, cfg.seed)
     sensed = {(route[-1], kind) for kind, route, _, _ in sim.sensors}
     assert set(sim.flows) == sensed
-    assert len(calls) == len(sensed) == 14
+    assert [len(scalars) for scalars in batches] == [len(sensed)] == [14]
+    assert all(1 <= k < sim.curve.n for k in batches[0])
+    assert ecdh_calls == []
 
 
 SET_UP_CASES = [("ieee14", "toy17"), ("ieee14", "secp256k1"), ("ieee118", "secp256k1")]
@@ -451,18 +460,24 @@ def test_each_set_up_key_is_the_key_computed_from_scratch(scenarios_dir, scenari
 def test_the_set_up_multiplies_once_per_flow_and_once_for_the_control_center(
     scenarios_dir, monkeypatch, scenario, curve
 ):
-    bases = []
-    real = crypto.scalar_mult
+    bases, batches = [], []
+    real, batch = crypto.scalar_mult, gridmon.simulation.fixed_base_batch
 
     def counted(curve, k, point, table=None):  # scalar_mult's signature
         bases.append((point == curve.g, table))
         return real(curve, k, point, table)
 
+    def counted_batch(curve, scalars):
+        batches.append(len(scalars))
+        return batch(curve, scalars)
+
     monkeypatch.setattr(crypto, "scalar_mult", counted)
+    monkeypatch.setattr(gridmon.simulation, "fixed_base_batch", counted_batch)
     sim, _ = set_up_simulation(scenarios_dir, scenario, curve)
-    # Every one from G's table: the control center's public point, then one per flow.
-    assert bases == [(True, None)] * (len(sim.flows) + 1)
-    assert len(bases) == {"ieee14": 15, "ieee118": 143}[scenario]
+    # The control center's public point from G's table, and no other single
+    # multiplication; then one batched pass over G's table, one scalar per flow.
+    assert bases == [(True, None)]
+    assert batches == [len(sim.flows)] == [{"ieee14": 14, "ieee118": 142}[scenario]]
 
 
 @pytest.mark.parametrize("curve", ["secp256k1", "toy17"])
