@@ -218,22 +218,28 @@ def test_nested_hmac_composition():
     group=bytes(range(64)), pairwise=bytes(range(64, 128)), message=b"a reading",
     key_type=bytes, with_memo=False,
 )
-@example(group=bytes(64), pairwise=bytes(65), message=b"", key_type=bytes, with_memo=True)
-@example(
-    group=KEY16, pairwise=KEY16, message=b"one key for both layers", key_type=bytearray,
-    with_memo=True,
-)
 def test_nested_hmac_matches_the_stdlib_oracle(group, pairwise, message, key_type, with_memo):
     memo = CryptoMemo() if with_memo else None
+    tag = nested_hmac(key_type(group), key_type(pairwise), message, memo=memo)
+    assert tag == hmac_tag(group, hmac_tag(pairwise, message))
+
+
+@given(
+    group=st.binary(max_size=100), pairwise=st.binary(max_size=100), message=st.binary(max_size=80),
+    key_type=st.sampled_from([bytes, bytearray]),
+)
+@example(group=bytes(64), pairwise=bytes(65), message=b"", key_type=bytes)  # either side of the block
+@example(group=KEY16, pairwise=KEY16, message=b"one key for both layers", key_type=bytearray)
+def test_nested_hmac_with_a_memo_equals_nested_hmac_without(group, pairwise, message, key_type):
+    memo = CryptoMemo()
     expected = hmac_tag(group, hmac_tag(pairwise, message))
     assert nested_hmac(key_type(group), key_type(pairwise), message, memo=memo) == expected
-    if memo is not None:
-        # The memo's keyed states are copied, never consumed by a tag, and a
-        # key of the other type finds the entry this one's tag built.
-        built = memo.hmac_pads.cache_info().misses
-        other = bytes if key_type is bytearray else bytearray
-        assert nested_hmac(other(group), other(pairwise), message, memo=memo) == expected
-        assert memo.hmac_pads.cache_info().misses == built
+    # The memo's keyed states are copied, never consumed by a tag, and a key
+    # of the other type finds the entry this one's tag built.
+    built = memo.hmac_pads.cache_info().misses
+    other = bytes if key_type is bytearray else bytearray
+    assert nested_hmac(other(group), other(pairwise), message, memo=memo) == expected
+    assert memo.hmac_pads.cache_info().misses == built
 
 
 def test_a_memo_never_serves_one_keys_hmac_state_for_another():
