@@ -36,10 +36,11 @@ counter blocks disjoint under a key (48-bit sequence, 16-bit block index).
 A ``CryptoMemo`` passed as ``memo=`` holds what one run would otherwise
 recompute, in two bounded FIFOs (keystreams and ECDH keys) and three per-run
 ``functools`` caches (the window table of each key it seals for, the public
-point of each private key it opens under, and each key's HMAC pads).  ECDH
-keys are kept under the unordered pair of public points (a*B = b*A), so an
-aggregate's ECDH key is computed once, by its seal, and both of its opens
-find it.
+point of each private key it opens under, and each key's HMAC pads).
+``ecdh_shared`` itself keeps nothing: a seal stores its ECDH key under the
+recipient's public point and its ephemeral one, and an open under the
+recipient's private key looks it up there, so an aggregate's ECDH key is
+computed once, by its seal, and both of its opens find it.
 """
 
 from __future__ import annotations
@@ -74,21 +75,23 @@ class CryptoMemo(_Fifo):
     three per-run caches.
 
     The FIFOs are the memo itself, holding RC5 keystreams keyed by (key,
-    counter base, length), and ``ecdh_keys``, holding ECDH keys keyed by
-    (curve, P, Q), the two public points in sorted order.  By ECDH symmetry
-    either side finds the key: a seal's ephemeral x recipient entry is the
-    recipient x ephemeral entry its opens look up, so an aggregate's seal and
-    both opens share one scalar multiplication.  Each holds at most ``LIMIT``
-    entries and drops its oldest first, so the many keystreams a run computes
-    between an aggregate's seal and its opens cannot drop the seal's ECDH key.
+    counter base, length), and ``ecdh_keys``, holding the ECDH key of each
+    seal keyed by (curve, recipient public point, ephemeral public point).
+    ``pk_encrypt`` writes the entry and ``pk_decrypt`` reads it, so an
+    aggregate's seal and both opens share one scalar multiplication; only a
+    seal writes one, so an ephemeral point changed in transit finds none.
+    Each holds at most ``LIMIT`` entries and drops its oldest first, so the
+    many keystreams a run computes between an aggregate's seal and its opens
+    cannot drop the seal's ECDH key.
 
     The caches, unbounded ``functools.cache`` wrappers, hold what a run
     reuses on every call: ``window_table(curve, point)``, the window table of
     each recipient key it seals for; ``public_key(curve, private)``, the
-    public point of each private key it opens under; and ``hmac_pads(key)``,
-    the keyed HMAC states of each (bytes) key it tags under.  A run owns one
-    memo and empties all five when it ends; callers that pass none compute
-    every result afresh.
+    public point of each private key it opens under, from
+    ``keypair_from_private``, which refuses a key outside [1, n - 1] on every
+    call; and ``hmac_pads(key)``, the keyed HMAC states of each (bytes) key
+    it tags under.  A run owns one memo and empties all five when it ends;
+    callers that pass none compute every result afresh.
     """
 
     def __init__(self):
@@ -97,7 +100,7 @@ class CryptoMemo(_Fifo):
         # Lambdas look the builders up at each miss, so a wrapped one is seen.
         self.window_table = functools.cache(lambda curve, point: _window_table(curve, point))
         self.public_key = functools.cache(
-            lambda curve, private: scalar_mult(curve, private, curve.g)
+            lambda curve, private: keypair_from_private(curve, private).public
         )
         self.hmac_pads = functools.cache(_hmac_pads)
 
@@ -226,45 +229,45 @@ def _jacobian_add_affine(curve: CurveParams, pt, q):
     return (x3, (r * (v - x3) - y1 * hhh) % p, z1 * h % p)
 
 
+def _inverses(values, p: int) -> list:
+    """1/v mod p for each nonzero v, sharing one inversion (Montgomery's
+    trick, Hankerson, Menezes and Vanstone, section 2.2.5)."""
+    prefix = [1]  # prefix[i] is the product of the first i values
+    for v in values:
+        prefix.append(prefix[-1] * v % p)
+    inv = pow(prefix[-1], -1, p)  # 1 / (the product of them all)
+    out = [None] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * values[i] % p
+    return out
+
+
 def _all_to_affine(curve: CurveParams, points) -> list:
-    """Affine forms of finite Jacobian points, sharing one inversion
-    (Montgomery's trick)."""
+    """Affine forms of finite Jacobian points, sharing one inversion."""
     p = curve.p
-    prefix = [1]  # prefix[i] is the product of the first i Z coordinates
-    for _, _, z in points:
-        prefix.append(prefix[-1] * z % p)
-    inv = pow(prefix[-1], -1, p)  # 1 / (Z_0 ... Z_last)
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        x, y, z = points[i]
-        zinv = inv * prefix[i] % p
-        inv = inv * z % p
+    out = []
+    for (x, y, z), zinv in zip(points, _inverses([z for _, _, z in points], p)):
         zz = zinv * zinv % p
-        out[i] = (x * zz % p, y * zz * zinv % p)
+        out.append((x * zz % p, y * zz * zinv % p))
     return out
 
 
 def _add_pairs(curve: CurveParams, pairs) -> list:
     """P + Q for each pair of finite affine points, the chords sharing one
-    inversion (Montgomery's trick, Hankerson, Menezes and Vanstone, section
-    2.2.5).  A pair with equal x coordinates, a doubling or a point and its
-    negation, goes by ``point_add``."""
+    inversion.  A pair with equal x coordinates, a doubling or a point and
+    its negation, goes by ``point_add``."""
     p = curve.p
-    prefix = [1]  # prefix[j] is the product of the first j nonzero x differences
-    for (x1, _), (x2, _) in pairs:
-        prefix.append(prefix[-1] * ((x2 - x1) or 1) % p)
-    inv = pow(prefix[-1], -1, p)  # 1 / (all the differences)
-    out = [None] * len(pairs)
-    for j in range(len(pairs) - 1, -1, -1):
-        (x1, y1), (x2, y2) = pairs[j]
-        dx = x2 - x1
-        if not dx:
-            out[j] = point_add(curve, *pairs[j])
+    # An equal-x pair inverts a stand-in 1 and takes no slope.
+    inverses = _inverses([(x2 - x1) or 1 for (x1, _), (x2, _) in pairs], p)
+    out = []
+    for ((x1, y1), (x2, y2)), inv in zip(pairs, inverses):
+        if x1 == x2:
+            out.append(point_add(curve, (x1, y1), (x2, y2)))
             continue
-        m = (y2 - y1) * inv * prefix[j] % p  # the chord's slope
-        inv = inv * dx % p
+        m = (y2 - y1) * inv % p  # the chord's slope
         x3 = (m * m - x1 - x2) % p
-        out[j] = (x3, (m * (x1 - x3) - y1) % p)
+        out.append((x3, (m * (x1 - x3) - y1) % p))
     return out
 
 
@@ -403,37 +406,21 @@ def derive_key(curve: CurveParams, point: tuple[int, int]) -> bytes:
     return hashlib.sha256(x_bytes).digest()[:16]
 
 
-def ecdh_shared(
-    curve: CurveParams, private: int, peer_public, *, memo: CryptoMemo | None = None,
-    table: tuple | None = None, public: tuple[int, int] | None = None,
-) -> bytes:
+def ecdh_shared(curve: CurveParams, private: int, peer_public, table: tuple | None = None) -> bytes:
     """Derive the pairwise key private * peer_public -> 16 bytes.
 
-    The checks run on every call.  A ``memo`` then keys the result by the
-    unordered pair of the two public points, so it serves this pair without
-    a scalar multiplication whichever side computed it first.  Our own point
-    is ``public``, which a caller holding the key pair passes (it must be
-    private * G), or else the memo's ``public_key``.  A ``table`` of the
-    peer's multiples is passed on to ``scalar_mult``.
+    Refuses a peer point off the curve or at infinity and a private key
+    outside [1, n - 1].  A ``table`` of the peer's multiples is passed on to
+    ``scalar_mult``.
     """
     if not is_on_curve(curve, peer_public) or peer_public is None:
         raise CryptoError(f"peer public key {peer_public} is not on curve {curve.name}")
     if not 1 <= private <= curve.n - 1:
         raise CryptoError("private key out of range")
-    key = entry = None
-    if memo is not None:
-        if public is None:
-            public = memo.public_key(curve, private)
-        entry = (curve, *sorted((public, peer_public)))
-        key = memo.ecdh_keys.get(entry)
-    if key is None:
-        shared = scalar_mult(curve, private, peer_public, table)
-        if shared is None:
-            raise CryptoError("shared secret is the point at infinity")
-        key = derive_key(curve, shared)
-        if memo is not None:
-            memo.ecdh_keys.remember(entry, key)
-    return key
+    shared = scalar_mult(curve, private, peer_public, table)
+    if shared is None:
+        raise CryptoError("shared secret is the point at infinity")
+    return derive_key(curve, shared)
 
 
 # ===== RC5-32/12/16 =====
@@ -599,10 +586,11 @@ def pk_encrypt(
     ciphertext, so no header byte can change unseen (a negated ephemeral
     point would still give the same ECDH output).  A small curve has few
     ephemeral keys, so two seals can share an ECDH output; give every seal
-    its own id and they still share no key and no counter block.  ``memo``
-    is passed on to ``ecdh_shared`` and ``rc5_ctr``, so the opens reuse the
-    ECDH key and the keystream, and its window table of ``recipient_public``
-    serves the ECDH multiplication.
+    its own id and they still share no key and no counter block.  With a
+    ``memo``, its window table of ``recipient_public`` serves the ECDH
+    multiplication; the memo then keeps the ECDH key, under the recipient's
+    and the ephemeral public points, and the keystream, through ``rc5_ctr``,
+    so the opens reuse both.
     """
     if not is_on_curve(curve, recipient_public) or recipient_public is None:
         raise CryptoError("recipient public key is not on the curve")
@@ -612,9 +600,9 @@ def pk_encrypt(
     sid = seal_id.to_bytes(_SEAL_ID_BYTES, "big")
     # The recipient's table, built at the memo's first seal, serves them all.
     table = None if memo is None else memo.window_table(curve, recipient_public)
-    shared = ecdh_shared(
-        curve, eph.private, recipient_public, memo=memo, table=table, public=eph.public
-    )
+    shared = ecdh_shared(curve, eph.private, recipient_public, table)
+    if memo is not None:
+        memo.ecdh_keys.remember((curve, recipient_public, eph.public), shared)
     rc5_key, mac_key = _pk_keys(shared, sid)
     ciphertext = rc5_ctr(rc5_key, seal_id << 16, plaintext, memo=memo)
     size = curve.byte_length
@@ -629,11 +617,11 @@ def pk_decrypt(
     """Open a sealed payload; raises CryptoError on any tamper or truncation.
     ``ecdh_shared`` refuses an ephemeral point off the curve.
 
-    ``memo`` is passed on to ``ecdh_shared`` and ``rc5_ctr``: an open reuses
-    the ECDH key and the keystream of a seal made under the same memo.  The
-    memo finds the ECDH key only for the sealing pair of points, so another
-    private key or a changed ephemeral point multiplies afresh, and the tag
-    still decides.
+    A ``memo`` serves the ECDH key and the keystream of a seal made under
+    it.  The ECDH key is looked up under the memo's ``public_key`` of
+    ``private`` and the ephemeral point, an entry only the seal wrote, so
+    another private key or a changed ephemeral point goes by
+    ``ecdh_shared``, and the tag still decides.
     """
     size = curve.byte_length
     id_end = 2 * size + _SEAL_ID_BYTES
@@ -647,7 +635,12 @@ def pk_decrypt(
     head, sid = sealed[:id_end], sealed[2 * size : id_end]
     tag = sealed[id_end:header]
     ciphertext = sealed[header:]
-    rc5_key, mac_key = _pk_keys(ecdh_shared(curve, private, eph_public, memo=memo), sid)
+    shared = None
+    if memo is not None:
+        shared = memo.ecdh_keys.get((curve, memo.public_key(curve, private), eph_public))
+    if shared is None:
+        shared = ecdh_shared(curve, private, eph_public)
+    rc5_key, mac_key = _pk_keys(shared, sid)
     if not tags_equal(tag, hmac_tag(mac_key, head + ciphertext)):
         raise CryptoError("authentication tag mismatch")
     return rc5_ctr(rc5_key, int.from_bytes(sid, "big") << 16, ciphertext, memo=memo)

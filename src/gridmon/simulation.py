@@ -44,7 +44,7 @@ from .attacks import AttackError, apply_attack, tamper_bytes
 from .crypto import (
     CryptoError, CryptoMemo, derive_key, fixed_base_batch, keypair_generate, pk_decrypt, pk_encrypt,
 )
-from .crypto import ecdh_shared  # not called here; kept for callers that wrap this module's binding
+from .crypto import ecdh_shared  # not called here; perfbench's tests check its tracer wraps this binding
 from .engine import EventQueue, NeighborIndex, SimNode, build_sim_nodes
 from .metrics import (
     DROP_CAUSES,

@@ -201,6 +201,8 @@ def load_power_case(path: str) -> PowerCase:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+    except OSError as exc:
+        raise CaseError(f"cannot read case file {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise CaseError(f"cannot read case file {path}: not UTF-8 ({exc.reason})") from None
     return parse_power_case(text, name=path)

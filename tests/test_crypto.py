@@ -471,6 +471,18 @@ def test_fixed_base_batch_matches_the_scalar_mult_oracle(toy, secp):
         assert crypto.fixed_base_batch(curve, ks) == [scalar_mult(curve, k, curve.g) for k in ks]
 
 
+@given(
+    toy=st.lists(st.integers(1 - TOY.p, TOY.p - 1).filter(bool), min_size=1, max_size=12),
+    secp=st.lists(st.integers(1 - SECP.p, SECP.p - 1).filter(bool), min_size=1, max_size=8),
+)
+@example(toy=[1], secp=[SECP.p - 1])
+@example(toy=[-3, 3, -3, 16, -16], secp=[-1, -1, 1, 2**255])
+def test_batch_inverses_match_the_pow_oracle(toy, secp):
+    # Negative values stand for the x differences _add_pairs passes unreduced.
+    for curve, values in ((TOY, toy), (SECP, secp)):
+        assert crypto._inverses(values, curve.p) == [pow(v, -1, curve.p) for v in values]
+
+
 def test_fixed_base_batch_refuses_a_scalar_its_table_cannot_hold():
     # toy17's table has two rows of signed 5-bit digits: 16 * 32 is too large.
     assert crypto.fixed_base_batch(TOY, [16 * 32 - 1]) == [scalar_mult(TOY, 16 * 32 - 1, TOY.g)]
@@ -664,8 +676,9 @@ def test_a_memo_hit_never_serves_another_key_counter_or_length():
 
 
 def test_the_memo_keeps_its_newest_entries_up_to_its_bound():
-    memo = CryptoMemo()
-    shared = ecdh_shared(TOY, 3, TOY.g, memo=memo)
+    kp, sealed, memo = sealed_under_a_memo(TOY, "bound")
+    [(entry, shared)] = memo.ecdh_keys.items()
+    assert shared == ecdh_shared(TOY, kp.private, entry[2])
     key = bytes(16)
     for nonce in range(CryptoMemo.LIMIT + 10):
         rc5_ctr(key, nonce, b"x", memo=memo)
@@ -673,12 +686,12 @@ def test_the_memo_keeps_its_newest_entries_up_to_its_bound():
     assert len(memo) == CryptoMemo.LIMIT
     assert (key, 9, 1) not in memo and (key, 10, 1) in memo  # the oldest go first
     # Keystreams never drop an ECDH key; ECDH keys have a bound of their own.
-    [(entry, value)] = memo.ecdh_keys.items()
-    assert value == shared
-    for private in range(1, CryptoMemo.LIMIT + 1):
-        ecdh_shared(SECP, private, SECP.g, memo=memo)
+    assert memo.ecdh_keys == {entry: shared}
+    fillers = [(SECP, SECP.g, (i, i)) for i in range(CryptoMemo.LIMIT + 1)]
+    for filler in fillers:
+        memo.ecdh_keys.remember(filler, bytes(16))
         assert len(memo.ecdh_keys) <= CryptoMemo.LIMIT
-    assert entry not in memo.ecdh_keys and len(memo) == CryptoMemo.LIMIT
+    assert list(memo.ecdh_keys) == fillers[1:] and len(memo) == CryptoMemo.LIMIT
 
 
 def test_rc5_ctr_computes_a_memoized_keystream_once_but_schedules_every_call(monkeypatch):
@@ -699,34 +712,6 @@ def test_rc5_ctr_computes_a_memoized_keystream_once_but_schedules_every_call(mon
     assert calls == {"_keystream": 2, "rc5_key_schedule": 4}
 
 
-def test_ecdh_with_a_memo_equals_ecdh_without_and_still_checks_its_inputs(monkeypatch):
-    mults = []
-    real = crypto.scalar_mult
-    monkeypatch.setattr(crypto, "scalar_mult", lambda *args: mults.append(args) or real(*args))
-    memo = CryptoMemo()
-    publics = [keypair_from_private(TOY, b).public for b in range(1, 19)]
-    pairs = [(a, peer) for a in range(1, 19) for peer in publics]
-    for _ in range(2):
-        for private, peer in pairs:
-            assert ecdh_shared(TOY, private, peer, memo=memo) == derive_key(
-                TOY, real(TOY, private, peer)
-            )
-    # Keyed by the unordered pair of public points: a*B and b*A share one entry.
-    unordered = 18 * 19 // 2
-    assert len(memo.ecdh_keys) == unordered and len(memo) == 0
-    # 18 key pairs, the memo's 18 own public points, then one multiplication per pair.
-    assert len(mults) == 18 + 18 + unordered
-    with pytest.raises(CryptoError):
-        ecdh_shared(TOY, 3, (2, 2), memo=memo)
-    with pytest.raises(CryptoError):
-        ecdh_shared(TOY, 0, pairs[0][1], memo=memo)
-    with pytest.raises(CryptoError):
-        ecdh_shared(TOY, TOY.n, pairs[0][1], memo=memo)
-    with pytest.raises(CryptoError):
-        ecdh_shared(TOY, 3 + TOY.n, pairs[0][1], memo=memo)
-    assert len(memo.ecdh_keys) == unordered and len(mults) == 18 + 18 + unordered
-
-
 def sealed_under_a_memo(curve, seed):
     """A key pair, a payload sealed for it under a memo, and that memo, which
     then holds the seal's ECDH entry."""
@@ -736,7 +721,7 @@ def sealed_under_a_memo(curve, seed):
     sealed = pk_encrypt(curve, kp.public, b"one window's aggregate", rng, 5, memo=memo)
     size = curve.byte_length
     eph = (int.from_bytes(sealed[:size], "big"), int.from_bytes(sealed[size : 2 * size], "big"))
-    assert (curve, *sorted((eph, kp.public))) in memo.ecdh_keys
+    assert (curve, kp.public, eph) in memo.ecdh_keys
     return kp, sealed, memo
 
 
@@ -759,14 +744,19 @@ def test_an_open_reuses_its_seals_ecdh_key_only_for_the_sealing_pair(curve, monk
     assert other not in (kp.private, curve.n - kp.private)
     with pytest.raises(CryptoError, match="tag"):
         pk_decrypt(curve, other, sealed, memo=memo)
-    with pytest.raises(CryptoError, match="out of range"):
-        pk_decrypt(curve, kp.private + curve.n, sealed, memo=memo)
+    # An out-of-range key is refused with the memo, by its public_key, as
+    # without it, by ecdh_shared, and on every call: exceptions are not cached.
+    for private in (0, curve.n, kp.private + curve.n, 3 + curve.n) * 2:
+        for m in (memo, None):
+            with pytest.raises(CryptoError, match="out of range"):
+                pk_decrypt(curve, private, sealed, memo=m)
     y = int.from_bytes(sealed[curve.byte_length : 2 * curve.byte_length], "big")
     with pytest.raises(CryptoError, match="tag"):
         pk_decrypt(curve, kp.private, with_ephemeral_y(curve, sealed, curve.p - y), memo=memo)
     with pytest.raises(CryptoError, match="not on curve"):
         pk_decrypt(curve, kp.private, with_ephemeral_y(curve, sealed, (y + 1) % curve.p), memo=memo)
-    # None of the refusals spoiled the seal's entry.
+    # None of the refusals spoiled the seal's entry or added one.
+    assert len(memo.ecdh_keys) == 1
     assert pk_decrypt(curve, kp.private, sealed, memo=memo) == b"one window's aggregate"
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gridmon.cli import main
 from gridmon.topology import (
     CaseError,
     PowerCase,
@@ -90,6 +91,17 @@ def test_a_case_file_that_is_not_utf8_is_a_case_error_naming_it(tmp_path):
     path.write_bytes(b"bus 1\n# caf\xe9\nsubstation 1 0 0 : 1\n")
     with pytest.raises(CaseError, match=rf"^cannot read case file {re.escape(str(path))}: not UTF-8"):
         load_power_case(str(path))
+
+
+def test_a_case_file_that_cannot_be_read_is_a_case_error_naming_it(tmp_path, capsys):
+    for path, reason in [(tmp_path / "absent.case", "No such file"), (tmp_path, "Is a directory")]:
+        with pytest.raises(CaseError, match=rf"^cannot read case file {re.escape(str(path))}: {reason}"):
+            load_power_case(str(path))
+    scenario = tmp_path / "absent.ini"
+    scenario.write_text("[case]\npath = absent.case\n")
+    assert main(["run", "--scenario", str(scenario)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot read case file {tmp_path / 'absent.case'}: No such file" in err
 
 
 def test_parse_accepts_comments_and_blanks():
