@@ -712,6 +712,49 @@ def test_rc5_ctr_computes_a_memoized_keystream_once_but_schedules_every_call(mon
     assert calls == {"_keystream": 2, "rc5_key_schedule": 4}
 
 
+def test_ecdh_with_a_memo_equals_ecdh_without_and_still_checks_its_inputs(monkeypatch):
+    # With a memo, ECDH runs through the seals: each multiplies by the memo's
+    # window table of its recipient and keeps the key for that recipient's opens.
+    memo = CryptoMemo()
+    rng = random.Random("ecdh under a memo")
+    recipients = {keypair_from_private(TOY, d).public: d for d in range(1, TOY.n)}
+    sealed = [
+        (d, pk_encrypt(TOY, public, b"reading", rng, seal_id, memo=memo))
+        for public, d in recipients.items()
+        for seal_id in range(3)
+    ]
+    assert memo.ecdh_keys
+    for (curve, recipient, eph), shared in memo.ecdh_keys.items():
+        d = recipients[recipient]
+        assert curve == TOY
+        assert shared == ecdh_shared(TOY, d, eph) == derive_key(TOY, crypto.scalar_mult(TOY, d, eph))
+    for peer in recipients:
+        table = memo.window_table(TOY, peer)
+        for private in range(1, TOY.n):
+            assert ecdh_shared(TOY, private, peer, table) == ecdh_shared(TOY, private, peer)
+    # Every open finds its seal's key: no ECDH is computed again.
+    calls = []
+    real = crypto.ecdh_shared
+    monkeypatch.setattr(crypto, "ecdh_shared", lambda *args: calls.append(args) or real(*args))
+    for d, payload in sealed:
+        assert pk_decrypt(TOY, d, payload, memo=memo) == b"reading"
+    assert calls == []
+    # The inputs are checked with a memo as without it, and no refusal is kept.
+    entries = dict(memo.ecdh_keys)
+    for m in (memo, None):
+        with pytest.raises(CryptoError, match="not on the curve"):
+            pk_encrypt(TOY, (2, 2), b"reading", rng, memo=m)
+        for private in (0, TOY.n, 3 + TOY.n):
+            with pytest.raises(CryptoError, match="out of range"):
+                pk_decrypt(TOY, private, sealed[0][1], memo=m)
+    for private in (0, TOY.n, 3 + TOY.n):
+        with pytest.raises(CryptoError, match="out of range"):
+            ecdh_shared(TOY, private, peer, table)
+    with pytest.raises(CryptoError, match="not on curve"):
+        ecdh_shared(TOY, 3, (2, 2), table)
+    assert dict(memo.ecdh_keys) == entries
+
+
 def sealed_under_a_memo(curve, seed):
     """A key pair, a payload sealed for it under a memo, and that memo, which
     then holds the seal's ECDH entry."""
